@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 from . import combinatorics as comb
 from .errors import BasisError, OrderError
@@ -31,13 +30,16 @@ def _div(value, r: int):
     return Fraction(value, 1) / r
 
 
-def _q_rows(k: int, mv: MomentVector) -> list[list]:
-    """Coefficient rows q^(0)..q^(k); row kk holds [q0, .., q_kk] of C^(kk).
+def c_polys(n: int, mv: MomentVector) -> list[TimePolynomial]:
+    """C^(0)..C^(n) as polynomials in elapsed time, by the coefficient recursion.
 
-    q1^(k) = m_k and q_r^(k) = (1/r) * sum_{j=1}^{k+1-r} C(k,j) m_j q_{r-1}^(k-j).
+    C^(k) has coefficients q0..qk with q1^(k) = m_k and
+    q_r^(k) = (1/r) * sum_{j=1}^{k+1-r} C(k,j) m_j q_{r-1}^(k-j).
     """
+    if n < 0:
+        raise OrderError("k must be >= 0")
     rows: list[list] = [[1]]
-    for kk in range(1, k + 1):
+    for kk in range(1, n + 1):
         row = [0] * (kk + 1)
         row[1] = mv.moment(kk)
         for r in range(2, kk + 1):
@@ -46,14 +48,12 @@ def _q_rows(k: int, mv: MomentVector) -> list[list]:
                 acc += math.comb(kk, j) * mv.moment(j) * rows[kk - j][r - 1]
             row[r] = _div(acc, r)
         rows.append(row)
-    return rows
+    return [TimePolynomial(row) for row in rows]
 
 
 def c_poly_recursive(k: int, mv: MomentVector) -> TimePolynomial:
     """C^(k) as a polynomial in elapsed time, by the coefficient recursion."""
-    if k < 0:
-        raise OrderError("k must be >= 0")
-    return TimePolynomial(_q_rows(k, mv)[k])
+    return c_polys(k, mv)[k]
 
 
 def c_poly_closed(k: int, mv: MomentVector) -> TimePolynomial:
@@ -77,12 +77,7 @@ def c_poly_closed(k: int, mv: MomentVector) -> TimePolynomial:
     return TimePolynomial(coeffs)
 
 
-def pi_coeff(
-    theta: comb.IndexTuple,
-    k: int,
-    mv: MomentVector,
-    _c_cache: Optional[dict] = None,
-) -> TimePolynomial:
+def pi_coeff(theta: comb.IndexTuple, k: int, mv: MomentVector) -> TimePolynomial:
     """Coefficient of the iterated integral indexed by ``theta`` at order k.
 
     Equals multinomial(theta + (n,)) * C^(n) with n = k - sum(theta); depends
@@ -91,14 +86,12 @@ def pi_coeff(
     n = k - sum(theta)
     if n < 0:
         raise OrderError(f"tuple exceeds order: sum{theta} > {k}")
-    weight = comb.multinomial(tuple(theta) + (n,))
-    if _c_cache is not None:
-        if n not in _c_cache:
-            _c_cache[n] = c_poly_recursive(n, mv)
-        cp = _c_cache[n]
-    else:
-        cp = c_poly_recursive(n, mv)
-    return cp.scale(weight)
+    return _pi(theta, n, c_polys(n, mv))
+
+
+def _pi(theta: comb.IndexTuple, n: int, c: list) -> TimePolynomial:
+    """multinomial(theta + (n,)) * C^(n), with C^(n) read from the table ``c``."""
+    return c[n].scale(comb.multinomial(tuple(theta) + (n,)))
 
 
 @dataclass(frozen=True)
@@ -147,13 +140,10 @@ def expand_from_moments(
     """Y-basis expansion of order n from an already sigma-adjusted vector."""
     if not mv.adjusted:
         raise BasisError("expansion requires a sigma-adjusted moment vector")
-    cache: dict = {}
-    terms = {}
-    for theta in comb.index_set(n, k_max=k_max):
-        terms[theta] = pi_coeff(theta, n, mv, cache)
-    if n not in cache:
-        cache[n] = c_poly_recursive(n, mv)
-    return Expansion(n, "Y", terms, cache[n], mv, sigma_adjusted=True)
+    thetas = comb.index_set(n, k_max=k_max)
+    c = c_polys(n, mv)
+    terms = {theta: _pi(theta, n - sum(theta), c) for theta in thetas}
+    return Expansion(n, "Y", terms, c[n], mv, sigma_adjusted=True)
 
 
 def expand(

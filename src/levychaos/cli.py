@@ -5,8 +5,8 @@ exact-verify, taylor.  Outputs are CSV (LF line endings, '.' decimal
 separator, header row) or JSON (UTF-8, stable key order); floats use the
 shortest round-trip representation, so identical configs produce
 byte-identical artifacts.  Output files are written to a temporary sibling
-and atomically renamed; error paths never leave partial files.  Errors exit
-nonzero with machine-readable JSON on stderr.
+and atomically renamed; error paths never leave partial files.  Errors,
+usage errors included, exit 1 with machine-readable JSON on stderr.
 
 LEVY_CHAOS_KMAX overrides the order cap (default 12; float-mode
 orthogonalization stays capped at 8).
@@ -18,18 +18,19 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
 
 from . import combinatorics as comb
 from .chaos import (
-    c_poly_recursive,
+    c_polys,
     expand,
+    expand_from_moments,
     expansion_csv_rows,
     expansion_to_json_dict,
     jamshidian_expand,
-    pi_coeff,
     scalar_to_json,
 )
 from .errors import ConfigError, LevyChaosError
@@ -87,6 +88,24 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+def _read_json_object(path: str, flag: str) -> dict:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"{flag} file {path} is not valid JSON: {exc}")
+    if not isinstance(data, dict):
+        raise ConfigError(f"{flag} must hold a JSON object")
+    return data
+
+
+def _number_list(text: str, conv, flag: str) -> list:
+    try:
+        return [conv(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise ConfigError(f"{flag} must be a comma-separated list of numbers, got {text!r}")
+
+
 def _require(args, names: list[str]) -> None:
     missing = [n for n in names if getattr(args, n.replace("-", "_")) is None]
     if missing:
@@ -104,9 +123,8 @@ def _cmd_coeffs(args) -> None:
     exact = args.mode == "rational"
     n = args.n
     mv = sigma_adjust(moments(model, max(n, 2), exact=exact))
-    cache: dict = {}
-    c_list = [c_poly_recursive(k, mv) for k in range(n + 1)]
-    pis = [(theta, pi_coeff(theta, n, mv, cache)) for theta in comb.index_set(n, k_max=_k_max())]
+    pis = expand_from_moments(n, mv, k_max=_k_max()).terms.items()
+    c_list = c_polys(n, mv)
     if args.format == "json":
         payload = {
             "order": n,
@@ -167,7 +185,7 @@ def _cmd_simulate(args) -> None:
     if args.mode == "rational":
         raise ConfigError("rational mode forbids simulation commands")
     model = parse_model(args.model)
-    path = simulate_grid(model, float(args.t), float(args.dt), float(args.t0), args.seed)
+    path = simulate_grid(model, args.t, args.dt, args.t0, args.seed)
     _emit(_csv_text(grid_csv_rows(path)), args.out)
 
 
@@ -176,9 +194,7 @@ def _cmd_verify(args) -> None:
     if args.mode == "rational":
         raise ConfigError("rational mode forbids simulation commands")
     model = parse_model(args.model)
-    report = verify_grid(
-        model, args.n, float(args.t0), float(args.t), float(args.dt), args.seed, k_max=_k_max()
-    )
+    report = verify_grid(model, args.n, args.t0, args.t, args.dt, args.seed, k_max=_k_max())
     if args.out:
         _atomic_write(args.out, _csv_text(diff_csv_rows(report)))
     sys.stdout.write(_json_text(report_to_json_dict(report)))
@@ -189,10 +205,10 @@ def _cmd_convergence(args) -> None:
     if args.mode == "rational":
         raise ConfigError("rational mode forbids simulation commands")
     model = parse_model(args.model)
-    dts = [float(x) for x in args.dt_list.split(",") if x.strip()]
+    dts = _number_list(args.dt_list, float, "--dt-list")
     if not dts:
         raise ConfigError("empty --dt-list")
-    reports = verify_grid_sweep(model, args.n, float(args.t0), float(args.t), dts, args.seed, k_max=_k_max())
+    reports = verify_grid_sweep(model, args.n, args.t0, args.t, dts, args.seed, k_max=_k_max())
     rows = [["dt", "t0_used", "max_abs_diff", "terminal_diff"]]
     for dt, report in zip(dts, reports):
         rows.append([repr(dt), repr(report.t0), repr(report.max_abs_diff), repr(report.terminal_diff)])
@@ -224,19 +240,21 @@ def _cmd_exact_verify(args) -> None:
 
 def _cmd_taylor(args) -> None:
     _require(args, ["spec", "model"])
-    with open(args.spec, "r", encoding="utf-8") as fh:
-        spec_data = json.load(fh)
+    spec_data = _read_json_object(args.spec, "--spec")
+    grid = spec_data.get("grid")
+    if not (isinstance(grid, list) and grid and all(isinstance(x, (int, float)) and math.isfinite(x) for x in grid)):
+        raise ConfigError("--spec needs a nonempty 'grid' list of finite numbers")
     model = parse_model(args.model)
-    orders = [int(x) for x in args.orders.split(",") if x.strip()]
+    orders = _number_list(args.orders, int, "--orders")
     rows = [["order", "paths", "substrate", "mean_abs_error", "max_abs_error"]]
     if args.dt is not None:
         batch = [
-            simulate_grid(model, spec_data["grid"][-1], float(args.dt), 0.0, args.seed, i)
+            simulate_grid(model, grid[-1], args.dt, 0.0, args.seed, i)
             for i in range(args.paths)
         ]
         substrate = "grid"
     else:
-        batch = model_jump_fixtures(model, spec_data["grid"][-1], args.paths, args.seed)
+        batch = model_jump_fixtures(model, grid[-1], args.paths, args.seed)
         substrate = "exact"
     for D in orders:
         spec = functional_from_json({**spec_data, "order": D})
@@ -250,8 +268,15 @@ def _cmd_taylor(args) -> None:
 # --------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit 1 with the JSON error object."""
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="levychaos",
         description="Chaos-expansion coefficients for powers of Levy increments, with pathwise verification.",
     )
@@ -264,8 +289,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output file (atomic write); stdout if omitted")
         p.add_argument("--config", help="JSON file supplying defaults for any option")
         if sim:
-            p.add_argument("--t0", default="0", help="window start time (grid-aligned)")
-            p.add_argument("--t", help="window end time")
+            p.add_argument("--t0", type=float, default=0.0, help="window start time (grid-aligned)")
+            p.add_argument("--t", type=float, help="window end time")
             p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("coeffs", help="constant and integral coefficient tables")
@@ -334,10 +359,7 @@ def _inject_config(argv: list[str]) -> list[str]:
             path = tok.split("=", 1)[1]
     if path is None or not argv:
         return argv
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ConfigError("--config must hold a JSON object")
+    data = _read_json_object(path, "--config")
     injected: list[str] = []
     for key, value in data.items():
         injected.extend([f"--{key}", str(value)])

@@ -18,6 +18,7 @@ index tuple always drives the innermost (earliest-time) integrator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -48,6 +49,11 @@ class IteratedIntegralValue:
         return float(self.series[-1])
 
 
+def _grid_times(path: GridPath, t0: float) -> np.ndarray:
+    """Absolute times of the grid points from t0 to the end of the path."""
+    return t0 + path.dt * np.arange(path.steps - grid_index(t0, path.dt) + 1)
+
+
 def eval_grid(path: GridPath, theta, mv_adjusted, t0: float) -> IteratedIntegralValue:
     """Iterated integral series on the grid, started at t0.
 
@@ -68,31 +74,7 @@ def eval_grid(path: GridPath, theta, mv_adjusted, t0: float) -> IteratedIntegral
         nxt[0] = 0.0
         np.cumsum(cur[:M] * dY, out=nxt[1:])
         cur = nxt
-    times = t0 + path.dt * np.arange(M + 1)
-    return IteratedIntegralValue(theta, float(t0), times, cur)
-
-
-def _poly_on_array(poly: TimePolynomial, x: np.ndarray) -> np.ndarray:
-    acc = np.zeros_like(x)
-    for c in reversed(poly.coeffs):
-        acc = acc * x + float(c)
-    return acc
-
-
-def _grid_reconstruction(exp: Expansion, path: GridPath, t0: float):
-    """Shared worker: (times, reconstructed series, per-term sup norms)."""
-    mvf = exp.moments.as_float()
-    i0 = grid_index(t0, path.dt)
-    M = path.steps - i0
-    times = t0 + path.dt * np.arange(M + 1)
-    elapsed = times - t0
-    acc = _poly_on_array(exp.constant, elapsed)
-    norms: dict = {}
-    for theta, poly in exp.terms.items():
-        contrib = _poly_on_array(poly, elapsed) * eval_grid(path, theta, mvf, t0).series
-        norms[theta] = float(np.max(np.abs(contrib)))
-        acc = acc + contrib
-    return times, acc, norms
+    return IteratedIntegralValue(theta, float(t0), _grid_times(path, t0), cur)
 
 
 # --------------------------------------------------------------------------
@@ -103,56 +85,44 @@ DriftFn = Callable[[int], object]
 JumpFn = Callable[[int, object], object]
 
 
-def y_family(path: JumpPath) -> tuple[DriftFn, JumpFn]:
-    """Compensated power jump integrators: between jumps dY^(i) drifts at
-    gamma*[i=1] - m_i; a jump of size x contributes x^i."""
-    mv = path.mv
+def integrators(path: JumpPath, a=None, *, compensated: bool = True) -> tuple[DriftFn, JumpFn]:
+    """Drift rate and jump contribution of the i-th integrator on a jump path.
 
-    def drift(i: int):
+    The integrators are the compensated power jump processes Y^(i): between
+    jumps dY^(i) drifts at gamma*[i=1] - m_i, and a jump of size x adds x^i.
+    With ``compensated`` False the m_i are dropped, which gives the power
+    brackets of the non-compensated expansion.  A lower-triangular ``a``
+    (the orthogonalization a-array) maps them to dH^(i) = sum_j a_{i,j} dY^(j).
+    """
+
+    def y_drift(i: int):
         base = path.drift_rate if i == 1 else 0
-        return base - mv.moment(i)
+        return base - path.mv.moment(i) if compensated else base
 
-    def jump(i: int, x):
+    def y_jump(i: int, x):
         return x**i
 
-    return drift, jump
+    if a is None:
+        return y_drift, y_jump
 
+    def through_a(y):
+        def h(i: int, *x):
+            acc = 0
+            for j in range(1, i + 1):
+                acc = acc + a[i - 1][j - 1] * y(j, *x)
+            return acc
 
-def h_family(path: JumpPath, a_rows: tuple) -> tuple[DriftFn, JumpFn]:
-    """Orthogonalized integrators dH^(i) = sum_j a_{i,j} dY^(j)."""
-    y_drift, _ = y_family(path)
+        return h
 
-    def drift(i: int):
-        acc = 0
-        for j in range(1, i + 1):
-            acc = acc + a_rows[i - 1][j - 1] * y_drift(j)
-        return acc
-
-    def jump(i: int, x):
-        acc = 0
-        for j in range(1, i + 1):
-            acc = acc + a_rows[i - 1][j - 1] * x**j
-        return acc
-
-    return drift, jump
-
-
-def bracket_family(path: JumpPath) -> tuple[DriftFn, JumpFn]:
-    """Non-compensated power brackets: jump sums only, plus drift in order 1."""
-
-    def drift(i: int):
-        return path.drift_rate if i == 1 else 0
-
-    def jump(i: int, x):
-        return x**i
-
-    return drift, jump
+    return through_a(y_drift), through_a(y_jump)
 
 
 def eval_exact(path: JumpPath, theta, t0, t, *, family=None):
     """Exact terminal value of the iterated integral over (t0, t].
 
-    Every level is a piecewise polynomial; no discretization error.
+    ``family`` is a (drift, jump) pair from :func:`integrators`, by default
+    the Y integrators.  Every level is a piecewise polynomial; no
+    discretization error.
     """
     theta = tuple(theta)
     if not theta:
@@ -161,7 +131,7 @@ def eval_exact(path: JumpPath, theta, t0, t, *, family=None):
         raise EvaluationError(f"t0 >= t: [{t0}, {t}] is empty")
     if t > path.horizon:
         raise PathError(f"t={t} beyond horizon {path.horizon}")
-    drift, jump = family if family is not None else y_family(path)
+    drift, jump = family if family is not None else integrators(path)
 
     events = [(s, x) for s, x in path.jumps if t0 < s <= t]
     bps = [t0] + [s for s, _ in events]
@@ -198,16 +168,60 @@ class GridSeries:
     values: np.ndarray
 
 
-def _exact_family_for(exp: Expansion, path: JumpPath):
-    if exp.basis == "Y":
-        return y_family(path)
-    if exp.basis == "H":
-        if exp.ortho is None:
+def path_expansion(n: int, path, *, k_max: int = comb.DEFAULT_ORDER_CAP) -> Expansion:
+    """Y-basis expansion of order n built from a path's own compensators.
+
+    A jump path declares its moment vector; a grid path carries the model it
+    was simulated from.
+    """
+    if isinstance(path, JumpPath):
+        return expand_from_moments(n, path.mv, k_max=k_max)
+    if isinstance(path, GridPath):
+        return expand(n, path.model, k_max=k_max)
+    raise EvaluationError(f"unknown path substrate {type(path).__name__}")
+
+
+def _reconstruction(exp: Expansion, path, t0, t):
+    """constant + sum_theta Pi_theta(t - t0) * I_theta, and each term's sup norm.
+
+    On a grid path the value is the series over the grid points from t0 (Y
+    basis only); on a jump path it is the exact scalar at t.  Zero
+    coefficients are not evaluated; their norm is a zero of the substrate's
+    scalar type.
+    """
+    if isinstance(path, GridPath):
+        if exp.basis != "Y":
+            raise EvaluationError(f"basis/substrate mismatch: grid substrate supports the Y basis, got {exp.basis}")
+        t0, exp = float(t0), exp.to_float()  # grid integrals run in doubles
+        elapsed = _grid_times(path, t0) - t0
+        integral = lambda theta: eval_grid(path, theta, exp.moments, t0).series
+        sup = lambda v: float(np.max(np.abs(v)))
+    elif isinstance(path, JumpPath):
+        if t is None:
+            raise EvaluationError("exact reconstruction needs an end time t")
+        if exp.basis not in ("Y", "H", "NONCOMPENSATED"):
+            raise EvaluationError(f"basis/substrate mismatch: cannot evaluate basis {exp.basis} on a jump path")
+        if exp.basis == "H" and exp.ortho is None:
             raise EvaluationError("H-basis expansion lacks orthogonalization data")
-        return h_family(path, exp.ortho.a)
-    if exp.basis == "NONCOMPENSATED":
-        return bracket_family(path)
-    raise EvaluationError(f"basis/substrate mismatch: cannot evaluate basis {exp.basis} on a jump path")
+        a = exp.ortho.a if exp.basis == "H" else None
+        family = integrators(path, a, compensated=exp.basis != "NONCOMPENSATED")
+        elapsed = t - t0
+        integral = lambda theta: eval_exact(path, theta, t0, t, family=family)
+        sup = abs
+    else:
+        raise EvaluationError(f"unknown path substrate {type(path).__name__}")
+
+    value = exp.constant(elapsed)
+    zero = sup(elapsed * 0)
+    norms = {}
+    for theta, poly in exp.terms.items():
+        if poly.is_zero():
+            norms[theta] = zero
+            continue
+        contrib = poly(elapsed) * integral(theta)
+        norms[theta] = sup(contrib)
+        value = value + contrib
+    return value, norms
 
 
 def reconstruct(exp: Expansion, path, t0, t=None):
@@ -216,23 +230,10 @@ def reconstruct(exp: Expansion, path, t0, t=None):
     Grid paths return a :class:`GridSeries` (Y basis only); jump paths return
     the exact scalar at ``t``.
     """
+    value, _ = _reconstruction(exp, path, t0, t)
     if isinstance(path, GridPath):
-        if exp.basis != "Y":
-            raise EvaluationError(f"basis/substrate mismatch: grid substrate supports the Y basis, got {exp.basis}")
-        times, values, _ = _grid_reconstruction(exp, path, float(t0))
-        return GridSeries(times, values)
-    if isinstance(path, JumpPath):
-        if t is None:
-            raise EvaluationError("exact reconstruction needs an end time t")
-        family = _exact_family_for(exp, path)
-        elapsed = t - t0
-        acc = exp.constant(elapsed)
-        for theta, poly in exp.terms.items():
-            if poly.is_zero():
-                continue
-            acc = acc + poly(elapsed) * eval_exact(path, theta, t0, t, family=family)
-        return acc
-    raise EvaluationError(f"unknown path substrate {type(path).__name__}")
+        return GridSeries(_grid_times(path, float(t0)), value)
+    return value
 
 
 # --------------------------------------------------------------------------
@@ -266,18 +267,14 @@ def verify_on_grid_path(
 ) -> VerificationReport:
     """Compare the direct power series with its reconstruction on one path."""
     i0 = grid_index(t0, path.dt)
-    M = path.steps - i0
-    x_rel = np.empty(M + 1)
+    x_rel = np.empty(path.steps - i0 + 1)
     x_rel[0] = 0.0
     np.cumsum(path.dX[i0:], out=x_rel[1:])
     direct = x_rel**n
     if n == 0:
-        times = t0 + path.dt * np.arange(M + 1)
-        recon = np.ones(M + 1)
-        norms: dict = {}
+        recon, norms = np.ones_like(direct), {}
     else:
-        exp = expand(n, path.model, k_max=k_max)
-        times, recon, norms = _grid_reconstruction(exp, path, t0)
+        recon, norms = _reconstruction(path_expansion(n, path, k_max=k_max), path, t0, None)
     diff = recon - direct
     return VerificationReport(
         n=n,
@@ -289,7 +286,7 @@ def verify_on_grid_path(
         terminal_diff=float(diff[-1]),
         terminal_direct=float(direct[-1]),
         term_norms=norms,
-        times=times,
+        times=_grid_times(path, t0),
         direct=direct,
         reconstructed=recon,
         diff=diff,
@@ -341,6 +338,8 @@ def verify_grid_sweep(
     variation.  t0 is snapped onto each grid (the stated figure t0 values only
     sit on the finest one); the snapped value lands in each report.
     """
+    if not all(math.isfinite(x) for x in (t0, *dts)):
+        raise PathError(f"non-finite t0 or step in the sweep: t0={t0}, dts={dts}")
     dt_fine = min(dts)
     fine = simulate_grid(model, t, dt_fine, 0.0, seed)
     reports = []
@@ -373,18 +372,9 @@ def verify_exact(
         t0, t = float(t0), float(t)
     direct = (p.value(t) - p.value(t0)) ** n
     if n == 0:
-        recon = 1
-        norms = {}
+        recon, norms = 1, {}
     else:
-        exp = expand_from_moments(n, p.mv, k_max=k_max)
-        family = y_family(p)
-        elapsed = t - t0
-        recon = exp.constant(elapsed)
-        norms = {}
-        for theta, poly in exp.terms.items():
-            contrib = poly(elapsed) * eval_exact(p, theta, t0, t, family=family)
-            norms[theta] = abs(contrib)
-            recon = recon + contrib
+        recon, norms = _reconstruction(path_expansion(n, p, k_max=k_max), p, t0, t)
     diff = recon - direct
     return VerificationReport(
         n=n,
@@ -421,21 +411,11 @@ class ProductCheckReport:
 
 def product_check(path, m: int, n: int, t0, t=None, *, k_max: int = comb.DEFAULT_ORDER_CAP) -> ProductCheckReport:
     """Check reconstruct(m) * reconstruct(n) == reconstruct(m+n) on one path."""
-    if isinstance(path, JumpPath):
-        exps = {k: expand_from_moments(k, path.mv, k_max=k_max) for k in (m, n, m + n)}
-        rm = reconstruct(exps[m], path, t0, t)
-        rn = reconstruct(exps[n], path, t0, t)
-        rmn = reconstruct(exps[m + n], path, t0, t)
-        diff = rm * rn - rmn
-        return ProductCheckReport(m, n, "exact", abs(diff), diff)
+    vals = {k: _reconstruction(path_expansion(k, path, k_max=k_max), path, t0, t)[0] for k in (m, n, m + n)}
+    diff = vals[m] * vals[n] - vals[m + n]
     if isinstance(path, GridPath):
-        exps = {k: expand(k, path.model, k_max=k_max) for k in (m, n, m + n)}
-        sm = reconstruct(exps[m], path, t0)
-        sn = reconstruct(exps[n], path, t0)
-        smn = reconstruct(exps[m + n], path, t0)
-        diff = sm.values * sn.values - smn.values
         return ProductCheckReport(m, n, "grid", float(np.max(np.abs(diff))), float(diff[-1]))
-    raise EvaluationError(f"unknown path substrate {type(path).__name__}")
+    return ProductCheckReport(m, n, "exact", abs(diff), diff)
 
 
 # --------------------------------------------------------------------------

@@ -210,9 +210,13 @@ def moments(model: LevyModel, N: int, *, exact: bool = False) -> MomentVector:
     if N < 1:
         raise MomentError("moment order must be >= 1")
     conv = Fraction if exact else float
-    vals = [conv(model.mean_rate)]
-    for i in range(2, N + 1):
-        vals.append(_jump_moment(model.jump_part, i, conv))
+    try:
+        vals = [conv(model.mean_rate)]
+        for i in range(2, N + 1):
+            vals.append(_jump_moment(model.jump_part, i, conv))
+        sigma2 = conv(model.sigma2)
+    except OverflowError:
+        raise MomentError("moment undefined: a model parameter or moment overflows a float")
     out = []
     for i, v in enumerate(vals, start=1):
         if isinstance(v, float) and not math.isfinite(v):
@@ -221,7 +225,7 @@ def moments(model: LevyModel, N: int, *, exact: bool = False) -> MomentVector:
         if i >= 2 and i % 2 == 0 and isinstance(model.jump_part, (GammaJumps, CompoundPoisson)):
             if out[-1] < 0:
                 raise MomentError(f"moment undefined: even moment m{i} negative")
-    return MomentVector(tuple(out), conv(model.sigma2), adjusted=False)
+    return MomentVector(tuple(out), sigma2, adjusted=False)
 
 
 def sigma_adjust(mv: MomentVector) -> MomentVector:

@@ -73,13 +73,16 @@ class GridPath:
 
 
 def grid_index(t: float, dt: float, label: str = "t0") -> int:
+    if not (math.isfinite(t) and math.isfinite(dt)):
+        raise PathError(f"non-finite {label} or dt: {label}={t}, dt={dt}")
     idx = round(t / dt)
     if abs(idx * dt - t) > 1e-9 * max(1.0, abs(t)):
         raise PathError(f"misaligned {label}: {t} is not a grid multiple of dt={dt}")
     return idx
 
 
-def _jump_sizes(law, count: int, rng: np.random.Generator) -> np.ndarray:
+def sample_jump_law(law, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` independent draws from a compound-Poisson jump-size law."""
     if isinstance(law, TwoPoint):
         vals = np.array([float(law.x_minus), float(law.x_plus)])
         probs = np.array([float(law.p_minus), float(law.p_plus)])
@@ -91,6 +94,36 @@ def _jump_sizes(law, count: int, rng: np.random.Generator) -> np.ndarray:
         signs = np.where(rng.random(count) < float(law.sign_prob), 1.0, -1.0)
         return mag * signs
     raise PathError(f"cannot sample jump law {law!r}")
+
+
+def _draw_increments(model: LevyModel, h: float, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` independent increments of X over a time span ``h``.
+
+    Draw order (jump part, then Brownian part, then residual drift) fixes
+    which numbers a seed produces.
+    """
+    if isinstance(model.jump_part, SyntheticMoments):
+        raise PathError("cannot simulate a synthetic-moment model")
+    try:
+        out = np.zeros(count)
+        if isinstance(model.jump_part, GammaJumps):
+            a, b = float(model.jump_part.a), float(model.jump_part.b)
+            out += rng.gamma(a * h, 1.0 / b, size=count)
+        elif isinstance(model.jump_part, CompoundPoisson):
+            lam = float(model.jump_part.intensity)
+            counts = rng.poisson(lam * h, size=count)
+            total = int(counts.sum())
+            if total:
+                sizes = sample_jump_law(model.jump_part.law, total, rng)
+                out += np.bincount(np.repeat(np.arange(count), counts), weights=sizes, minlength=count)
+        if model.sigma2 > 0:
+            out += rng.normal(0.0, math.sqrt(float(model.sigma2) * h), size=count)
+        extra_drift = float(model.mean_rate) - float(jump_mean_rate(model.jump_part))
+        if extra_drift != 0.0:
+            out += extra_drift * h
+    except (OverflowError, ValueError) as exc:  # a parameter beyond float or numpy sampler range
+        raise PathError(f"cannot sample the model: {exc}")
+    return out
 
 
 def simulate_grid(
@@ -110,26 +143,7 @@ def simulate_grid(
     idx0 = grid_index(t0, dt, "t0")
     if not 0 <= idx0 < steps:
         raise PathError(f"t0={t0} outside the grid [0, {T})")
-    if isinstance(model.jump_part, SyntheticMoments):
-        raise PathError("cannot simulate a synthetic-moment model")
-
-    rng = rng_for(seed, path_index)
-    dX = np.zeros(steps)
-    if isinstance(model.jump_part, GammaJumps):
-        a, b = float(model.jump_part.a), float(model.jump_part.b)
-        dX += rng.gamma(a * dt, 1.0 / b, size=steps)
-    elif isinstance(model.jump_part, CompoundPoisson):
-        lam = float(model.jump_part.intensity)
-        counts = rng.poisson(lam * dt, size=steps)
-        total = int(counts.sum())
-        if total:
-            sizes = _jump_sizes(model.jump_part.law, total, rng)
-            dX += np.bincount(np.repeat(np.arange(steps), counts), weights=sizes, minlength=steps)
-    if model.sigma2 > 0:
-        dX += rng.normal(0.0, math.sqrt(float(model.sigma2) * dt), size=steps)
-    extra_drift = float(model.mean_rate) - float(jump_mean_rate(model.jump_part))
-    if extra_drift != 0.0:
-        dX += extra_drift * dt
+    dX = _draw_increments(model, dt, steps, rng_for(seed, path_index))
     return GridPath(float(t0), float(dt), steps, dX, seed, path_index, model)
 
 
@@ -150,28 +164,9 @@ def sample_terminal_increments(
     model: LevyModel, t: float, n_samples: int, seed: int
 ) -> np.ndarray:
     """Draw X_{t0+t} - X_{t0} directly from the increment law (no grid)."""
-    if t <= 0:
+    if not t > 0:
         raise PathError("t must be > 0")
-    if isinstance(model.jump_part, SyntheticMoments):
-        raise PathError("cannot simulate a synthetic-moment model")
-    rng = rng_for(seed, 0)
-    out = np.zeros(n_samples)
-    if isinstance(model.jump_part, GammaJumps):
-        a, b = float(model.jump_part.a), float(model.jump_part.b)
-        out += rng.gamma(a * t, 1.0 / b, size=n_samples)
-    elif isinstance(model.jump_part, CompoundPoisson):
-        lam = float(model.jump_part.intensity)
-        counts = rng.poisson(lam * t, size=n_samples)
-        total = int(counts.sum())
-        if total:
-            sizes = _jump_sizes(model.jump_part.law, total, rng)
-            out += np.bincount(np.repeat(np.arange(n_samples), counts), weights=sizes, minlength=n_samples)
-    if model.sigma2 > 0:
-        out += rng.normal(0.0, math.sqrt(float(model.sigma2) * t), size=n_samples)
-    extra = float(model.mean_rate) - float(jump_mean_rate(model.jump_part))
-    if extra != 0.0:
-        out += extra * t
-    return out
+    return _draw_increments(model, t, n_samples, rng_for(seed, 0))
 
 
 # --------------------------------------------------------------------------

@@ -18,18 +18,17 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import combinatorics as comb
-from .chaos import expand, expand_from_moments
 from .errors import FunctionalError
-from .evaluate import reconstruct
-from .models import LevyModel
-from .paths import JumpPath, grid_index
+from .evaluate import path_expansion, reconstruct
+from .models import CompoundPoisson, GammaJumps, LevyModel, jump_mean_rate, moments, sigma_adjust
+from .paths import GridPath, JumpPath, grid_index, make_jump_path, rng_for, sample_jump_law
 
 
 @dataclass(frozen=True)
@@ -152,13 +151,16 @@ def functional_from_json(data: dict) -> FunctionalSpec:
     kind = data.get("kind")
     grid = data.get("grid")
     order = data.get("order")
-    if kind == "exp":
-        return exp_functional(grid, order, scale=data.get("scale", 1.0), weights=data.get("weights"))
-    if kind == "poly":
-        terms = {tuple(item["exponents"]): item["coeff"] for item in data["terms"]}
-        return poly_functional(grid, order, terms)
-    if kind == "forward":
-        return forward_contract(grid, order, data["s0"], data["rate"], data["maturity"])
+    try:
+        if kind == "exp":
+            return exp_functional(grid, order, scale=data.get("scale", 1.0), weights=data.get("weights"))
+        if kind == "poly":
+            terms = {tuple(item["exponents"]): item["coeff"] for item in data["terms"]}
+            return poly_functional(grid, order, terms)
+        if kind == "forward":
+            return forward_contract(grid, order, data["s0"], data["rate"], data["maturity"])
+    except (KeyError, TypeError) as exc:
+        raise FunctionalError(f"malformed {kind} spec: missing or mistyped field {exc}")
     raise FunctionalError(f"unknown functional kind {kind!r}")
 
 
@@ -188,27 +190,18 @@ class FunctionalReport:
         return max((float(e) for e in self.abs_errors), default=0.0)
 
 
-def _interval_powers(spec: FunctionalSpec, path, model: Optional[LevyModel], k_max: int) -> list[dict]:
+def _interval_powers(spec: FunctionalSpec, path, k_max: int) -> list[dict]:
     """recon[k][e] = reconstructed (X_{t_k} - X_{t_{k-1}})^e for e = 0..D."""
     needed = sorted({e for term, _ in taylor_terms(spec) for e in term if e >= 1})
-    exps = {}
-    for e in needed:
-        if isinstance(path, JumpPath):
-            exps[e] = expand_from_moments(e, path.mv, k_max=k_max)
-        else:
-            exps[e] = expand(e, model if model is not None else path.model, k_max=k_max)
+    exps = {e: path_expansion(e, path, k_max=k_max) for e in needed}
     out = []
-    bounds = (0,) + spec.grid
-    for k in range(spec.arity):
-        t_lo, t_hi = bounds[k], bounds[k + 1]
+    for t_lo, t_hi in zip((0,) + spec.grid, spec.grid):
         per = {0: 1}
         for e in needed:
-            if isinstance(path, JumpPath):
-                per[e] = reconstruct(exps[e], path, t_lo, t_hi)
-            else:
-                series = reconstruct(exps[e], path, float(t_lo))
+            per[e] = reconstruct(exps[e], path, t_lo, t_hi)
+            if isinstance(path, GridPath):
                 idx = grid_index(float(t_hi) - float(t_lo), path.dt, "interval end")
-                per[e] = float(series.values[idx])
+                per[e] = float(per[e].values[idx])
         out.append(per)
     return out
 
@@ -244,9 +237,6 @@ def model_jump_fixtures(
     compensators.  Truncation studies on these fixtures see no discretization
     error at all.
     """
-    from .models import CompoundPoisson, GammaJumps, jump_mean_rate, moments, sigma_adjust
-    from .paths import _jump_sizes, make_jump_path, rng_for
-
     mv = sigma_adjust(moments(model, max(moment_order, 2)))
     drift = float(model.mean_rate) - float(jump_mean_rate(model.jump_part))
     fixtures = []
@@ -260,7 +250,7 @@ def model_jump_fixtures(
         if isinstance(part, GammaJumps):
             sizes = rng.gamma(float(part.a) * float(horizon) / nj, 1.0 / float(part.b), size=nj)
         elif isinstance(part, CompoundPoisson):
-            sizes = _jump_sizes(part.law, nj, rng)
+            sizes = sample_jump_law(part.law, nj, rng)
         else:
             sizes = rng.uniform(0.05, 0.5, size=nj)
         while np.any(sizes == 0.0):  # vanishingly unlikely, but jump sizes must be nonzero
@@ -287,7 +277,8 @@ def eval_functional(
     """Evaluate the truncated functional pathwise and compare with direct g.
 
     ``paths`` is a single path or a batch; jump paths evaluate exactly, grid
-    paths need every grid time aligned to the step.
+    paths need every grid time aligned to the step.  A given ``model``
+    replaces the model a grid path carries when its expansions are built.
     """
     if spec.order > k_max:
         raise FunctionalError(f"order too large: D={spec.order} > cap {k_max}")
@@ -297,7 +288,9 @@ def eval_functional(
     terms = taylor_terms(spec)
     approxs, directs = [], []
     for path in batch:
-        powers = _interval_powers(spec, path, model, k_max)
+        if model is not None and isinstance(path, GridPath) and path.model is not model:
+            path = replace(path, model=model)
+        powers = _interval_powers(spec, path, k_max)
         acc = 0
         for e, c in terms:
             term = c

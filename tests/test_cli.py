@@ -101,15 +101,51 @@ class TestVerifyCommand:
         assert report["max_abs_diff"] < 0.05 * max(directs)
 
 
+GAMMA = "gamma:a=10,b=20"
+VERIFY = ["verify", "--model", GAMMA, "--n", "2"]
+TAYLOR = ["taylor", "--model", GAMMA, "--paths", "2"]
+CONVERGENCE = ["convergence", "--model", GAMMA, "--n", "2", "--t", "0.1", "--dt-list"]
+P = pytest.param
+
+
 class TestErrorHygiene:
-    def test_bad_model_exits_nonzero_no_partial_file(self, tmp_path):
+    @pytest.mark.parametrize(
+        "argv,spec,code",
+        [
+            P(["simulate", "--model", "gamma:a=-1,b=2", "--t", "0.1", "--dt", "1e-2"], None, "models.invalid",
+              id="bad-model"),
+            P(VERIFY + ["--t", "0.1", "--dt", "nan"], None, "paths.invalid", id="dt-nan"),
+            P(VERIFY + ["--t", "nan", "--dt", "1e-2"], None, "paths.invalid", id="t-nan"),
+            P(VERIFY + ["--t", "inf", "--dt", "1e-2"], None, "paths.invalid", id="t-inf"),
+            P(VERIFY + ["--t", "0.1", "--t0", "nan", "--dt", "1e-2"], None, "paths.invalid", id="t0-nan"),
+            P(VERIFY + ["--t", "0.1", "--t0=-inf", "--dt", "1e-2"], None, "paths.invalid", id="t0-minus-inf"),
+            P(["expand", "--n", "3", "--model", "gamma:a=1e400,b=1"], None, "models.moments",
+              id="overflowing-parameter"),
+            P(["simulate", "--model", "gamma:a=1e400,b=1", "--t", "0.1", "--dt", "1e-2"], None, "paths.invalid",
+              id="overflowing-sampler-parameter"),
+            P(TAYLOR, [0.5], "cli.config", id="spec-not-object"),
+            P(TAYLOR, {"kind": "exp"}, "cli.config", id="spec-without-grid"),
+            P(TAYLOR + ["--orders", "x"], {"kind": "exp", "grid": [0.5]}, "cli.config", id="orders-not-int"),
+            P(TAYLOR, {"kind": "poly", "grid": [0.5]}, "taylor.invalid", id="poly-spec-without-terms"),
+            P(CONVERGENCE + ["1e-2,abc"], None, "cli.config", id="dt-list-not-float"),
+            P(CONVERGENCE + ["1e-2,nan"], None, "paths.invalid", id="dt-list-nan"),
+            P(["coeffs", "--n", "2", "--model", GAMMA, "--bogus", "1"], None, "cli.config", id="unknown-flag"),
+            P(["coeffs", "--n", "2", "--model", GAMMA, "--mode", "decimal"], None, "cli.config", id="bad-choice"),
+            P(["nosuchcommand"], None, "cli.config", id="unknown-command"),
+        ],
+    )
+    def test_bad_input_exits_1_with_json_no_partial_file(self, tmp_path, argv, spec, code):
+        if spec is not None:
+            (tmp_path / "spec.json").write_text(json.dumps(spec))
+            argv = argv + ["--spec", str(tmp_path / "spec.json")]
         out = tmp_path / "x.csv"
-        res = run_cli(["simulate", "--model", "gamma:a=-1,b=2", "--t", "0.1", "--dt", "1e-2", "--out", str(out)])
+        res = run_cli(argv + ["--out", str(out)])
         assert res.returncode == 1
         err = json.loads(res.stderr)
-        assert err["error"] == "models.invalid"
+        assert err["error"] == code
         assert not out.exists()
-        assert not list(tmp_path.iterdir())  # no temp leftovers either
+        leftovers = {p.name for p in tmp_path.iterdir()} - {"spec.json"}
+        assert not leftovers  # no temp leftovers either
 
     def test_missing_required(self):
         res = run_cli(["coeffs", "--model", "gamma:a=10,b=20"])

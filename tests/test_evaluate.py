@@ -6,12 +6,12 @@ import pytest
 from levychaos.chaos import Expansion, expand, expand_from_moments, jamshidian_expand
 from levychaos.errors import EvaluationError, MomentError, PathError
 from levychaos.evaluate import (
-    bracket_family,
     coarsen_grid,
     eval_exact,
     eval_grid,
     exact_identity_suite,
     diff_csv_rows,
+    integrators,
     product_check,
     reconstruct,
     report_to_json_dict,
@@ -282,9 +282,19 @@ class TestJamshidianPathwise:
 
     def test_bracket_family_ignores_compensators(self):
         path = make_jump_path(1, 0, [(Fraction(1, 2), Fraction(3))], (Fraction(1), Fraction(2)))
-        drift, jump = bracket_family(path)
+        drift, jump = integrators(path, compensated=False)
         assert drift(1) == 0 and drift(2) == 0
         assert jump(2, Fraction(3)) == 9
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_power_identity_with_declared_compensators(self, n):
+        # The brackets never read the compensators, so nonzero declared
+        # moments must leave the non-compensated identity untouched.
+        path = random_jump_path(4, 1, seed=61, rational=True, drift_rate="random", moment_order=6)
+        assert any(m != 0 for m in path.mv.m)
+        t0 = Fraction(1, 8)
+        val = reconstruct(jamshidian_expand(n), path, t0, Fraction(1))
+        assert val == (path.value(Fraction(1)) - path.value(t0)) ** n
 
 
 class TestProductIdentity:

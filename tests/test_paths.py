@@ -135,6 +135,15 @@ class TestSampleTerminalIncrements:
         b = sample_terminal_increments(gamma_model, 0.5, 100, seed=6)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize(
+        "spec", ["gamma:a=10,b=20", "cpoisson:lambda=30,jump=expsign:5:3/5", "drift:mu=1+brownian:sigma=0.5"]
+    )
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_same_stream_as_one_step_grid(self, spec, seed):
+        model = parse_model(spec)
+        grid = simulate_grid(model, 0.5, 0.5, seed=seed)
+        assert grid.dX[0] == sample_terminal_increments(model, 0.5, 1, seed)[0]
+
 
 class TestJumpPath:
     def test_zero_jump_path(self):

@@ -1,0 +1,82 @@
+"""Print the sha256 of every artifact in the golden CLI list.
+
+Run it on two checkouts and diff the output to show that a change keeps
+every artifact byte-identical:
+
+    PYTHONPATH=src python tools/golden_hashes.py > after.txt
+
+Each line is ``<sha256>  <name>``.  A command's stdout and its ``--out``
+file are hashed separately; a command that fails prints ``exit=<code>``
+in place of a hash.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+G = "gamma:a=10,b=20"
+MIXED = "brownian:sigma=1/10+gamma:a=3,b=7"
+JUMPY = "brownian:sigma=0.1+cpoisson:lambda=30,jump=expsign:5:3/5"
+
+# (name, argv, writes --out); taylor specs are written to SPEC before running.
+GOLDEN = [
+    ("coeffs-12-rational", ["coeffs", "--n", "12", "--mode", "rational", "--model", G], False),
+    ("coeffs-8-float", ["coeffs", "--n", "8", "--model", G], False),
+    ("coeffs-6-rational-csv",
+     ["coeffs", "--n", "6", "--mode", "rational", "--format", "csv", "--model", MIXED], False),
+    ("expand-8-h-rational", ["expand", "--n", "8", "--basis", "h", "--mode", "rational", "--model", MIXED], False),
+    ("expand-6-jamshidian", ["expand", "--n", "6", "--basis", "jamshidian"], False),
+    ("expand-6-cpoisson-csv",
+     ["expand", "--n", "6", "--model", "cpoisson:lambda=3,jump=point:-1:1/4:2", "--format", "csv"], False),
+    ("ortho-8-rational", ["ortho", "--order", "8", "--mode", "rational", "--model", G], False),
+    ("ortho-6-float", ["ortho", "--order", "6", "--model", G], False),
+    ("simulate-gamma", ["simulate", "--model", G, "--t", "1", "--dt", "1e-3", "--seed", "4"], False),
+    ("simulate-jumpy", ["simulate", "--model", JUMPY, "--t", "1", "--dt", "1e-3", "--seed", "4"], False),
+    ("verify-fig3",
+     ["verify", "--n", "9", "--t0", "0.0099", "--t", "1", "--dt", "1e-4", "--model", G], True),
+    ("verify-mixed",
+     ["verify", "--n", "5", "--t", "1", "--dt", "1e-3",
+      "--model", "brownian:sigma=0.2+cpoisson:lambda=5,jump=det:1/2+drift:mu=1"], True),
+    ("verify-brownian",
+     ["verify", "--n", "5", "--t", "1", "--dt", "1e-3", "--seed", "2", "--model", "brownian:sigma=0.2"], True),
+    ("convergence-4", ["convergence", "--n", "4", "--t", "1", "--dt-list", "1e-2,1e-3,1e-4", "--model", G], False),
+    ("exact-verify-6", ["exact-verify", "--n", "6", "--count", "30"], False),
+    ("exact-verify-5-float", ["exact-verify", "--n", "5", "--count", "10", "--mode", "float"], False),
+    ("taylor-exact", ["taylor", "--spec", "SPEC", "--model", G, "--paths", "32"], False),
+    ("taylor-grid", ["taylor", "--spec", "SPEC", "--model", G, "--paths", "8", "--dt", "1e-3"], False),
+]
+SPEC = {"kind": "exp", "order": 2, "grid": [0.25, 0.5]}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as work:
+        spec = os.path.join(work, "spec.json")
+        with open(spec, "w", encoding="utf-8") as fh:
+            json.dump(SPEC, fh)
+        for name, argv, writes in GOLDEN:
+            argv = [spec if a == "SPEC" else a for a in argv]
+            out = os.path.join(work, name + ".out")
+            if writes:
+                argv = argv + ["--out", out]
+            res = subprocess.run([sys.executable, "-m", "levychaos.cli", *argv], capture_output=True)
+            if res.returncode:
+                print(f"exit={res.returncode}  {name}")
+                continue
+            print(f"{_sha(res.stdout)}  {name}")
+            if writes:
+                with open(out, "rb") as fh:
+                    print(f"{_sha(fh.read())}  {name}.out")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
