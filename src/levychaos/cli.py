@@ -8,8 +8,9 @@ byte-identical artifacts.  Output files are written to a temporary sibling
 and atomically renamed; error paths never leave partial files.  Errors,
 usage errors included, exit 1 with machine-readable JSON on stderr.
 
-LEVY_CHAOS_KMAX overrides the order cap (default 12; float-mode
-orthogonalization stays capped at 8).
+LEVY_CHAOS_KMAX overrides the order cap: an integer in [1, 16], default 12
+(float-mode orthogonalization stays capped at 8).  --config keys may be
+spelled with '-' or '_' (``dt-list`` or ``dt_list``).
 """
 
 from __future__ import annotations
@@ -47,14 +48,22 @@ from .paths import grid_csv_rows, simulate_grid
 from .taylor import eval_functional, functional_from_json, model_jump_fixtures
 
 
+# Largest accepted LEVY_CHAOS_KMAX: coeffs at order 16 already walks 2^16 - 1
+# tuples (about 2.4 s and 170 MB on a 2-CPU Xeon), and each +2 costs about 4x.
+_KMAX_LIMIT = 16
+
+
 def _k_max() -> int:
     raw = os.environ.get("LEVY_CHAOS_KMAX")
     if raw is None:
         return comb.DEFAULT_ORDER_CAP
     try:
-        return int(raw)
+        k_max = int(raw)
     except ValueError:
-        raise ConfigError(f"LEVY_CHAOS_KMAX must be an integer, got {raw!r}")
+        k_max = None
+    if k_max is None or not 1 <= k_max <= _KMAX_LIMIT:
+        raise ConfigError(f"LEVY_CHAOS_KMAX must be an integer in [1, {_KMAX_LIMIT}], got {raw!r}")
+    return k_max
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -349,7 +358,8 @@ def _inject_config(argv: list[str]) -> list[str]:
     """Expand --config file.json into CLI tokens placed before explicit flags.
 
     Later occurrences win in argparse, so flags given on the command line
-    override config values.
+    override config values.  A key may name its flag with '_' for '-', as
+    the argparse dest does (``dt_list`` for ``--dt-list``).
     """
     path = None
     for i, tok in enumerate(argv):
@@ -362,7 +372,7 @@ def _inject_config(argv: list[str]) -> list[str]:
     data = _read_json_object(path, "--config")
     injected: list[str] = []
     for key, value in data.items():
-        injected.extend([f"--{key}", str(value)])
+        injected.extend([f"--{key.replace('_', '-')}", str(value)])
     return [argv[0]] + injected + argv[1:]
 
 

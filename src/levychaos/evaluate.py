@@ -26,9 +26,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import combinatorics as comb
-from .chaos import Expansion, expand, expand_from_moments, scalar_to_json
-from .errors import EvaluationError, PathError
-from .models import LevyModel, model_label
+from .chaos import Expansion, c_polys, scalar_to_json
+from .errors import EvaluationError, OrderError, PathError
+from .models import LevyModel, model_label, moments, sigma_adjust
 from .paths import GridPath, JumpPath, grid_index, power_increments, random_jump_path, rng_for, simulate_grid
 from .timepoly import TimePolynomial
 
@@ -117,6 +117,41 @@ def integrators(path: JumpPath, a=None, *, compensated: bool = True) -> tuple[Dr
     return through_a(y_drift), through_a(y_jump)
 
 
+def _segments(path: JumpPath, t0, t) -> tuple[list, list]:
+    """Segment ends t0 < ... <= t of (t0, t], and the jumps closing the first segments."""
+    if t is None:
+        raise EvaluationError("exact reconstruction needs an end time t")
+    if t0 >= t:
+        raise EvaluationError(f"t0 >= t: [{t0}, {t}] is empty")
+    if t > path.horizon:
+        raise PathError(f"t={t} beyond horizon {path.horizon}")
+    events = [(s, x) for s, x in path.jumps if t0 < s <= t]
+    ends = [t0] + [s for s, _ in events]
+    if not events or events[-1][0] != t:
+        ends.append(t)
+    return ends, [x for _, x in events]
+
+
+def _integrate(ends: list, sizes: list, integrands: list, family: tuple[DriftFn, JumpFn]) -> tuple[list, object]:
+    """sum_k w_k * int_(t0, u] P_k(v-) dZ^(i_k)(v) for ``integrands`` (w_k, i_k, P_k).
+
+    Each P_k is an inner level, one polynomial per segment.  Returns the new
+    level's per-segment polynomials and its value at t.
+    """
+    drift, jump = family
+    polys, val = [], 0
+    for k in range(len(ends) - 1):
+        rate = sum((inner[k].scale(w * drift(i)) for w, i, inner in integrands), TimePolynomial.zero())
+        anti = rate.antiderivative()
+        piece = anti + TimePolynomial.constant(val - anti(ends[k]))
+        polys.append(piece)
+        end = ends[k + 1]
+        val = piece(end)
+        if k < len(sizes):
+            val = val + sum(w * jump(i, sizes[k]) * inner[k](end) for w, i, inner in integrands)
+    return polys, val
+
+
 def eval_exact(path: JumpPath, theta, t0, t, *, family=None):
     """Exact terminal value of the iterated integral over (t0, t].
 
@@ -127,33 +162,11 @@ def eval_exact(path: JumpPath, theta, t0, t, *, family=None):
     theta = tuple(theta)
     if not theta:
         raise EvaluationError("theta must be nonempty")
-    if t0 >= t:
-        raise EvaluationError(f"t0 >= t: [{t0}, {t}] is empty")
-    if t > path.horizon:
-        raise PathError(f"t={t} beyond horizon {path.horizon}")
-    drift, jump = family if family is not None else integrators(path)
-
-    events = [(s, x) for s, x in path.jumps if t0 < s <= t]
-    bps = [t0] + [s for s, _ in events]
-    if not events or events[-1][0] != t:
-        bps.append(t)
-    nseg = len(bps) - 1
-
-    prev = [TimePolynomial((1,))] * nseg
-    val = 0
+    ends, sizes = _segments(path, t0, t)
+    family = family if family is not None else integrators(path)
+    level, val = [TimePolynomial((1,))] * (len(ends) - 1), 0
     for ip in theta:
-        c = drift(ip)
-        polys = []
-        val = 0
-        for s in range(nseg):
-            anti = prev[s].antiderivative()
-            piece = anti.scale(c) + TimePolynomial.constant(val - c * anti(bps[s]))
-            polys.append(piece)
-            end = bps[s + 1]
-            val = piece(end)
-            if s < len(events):
-                val = val + jump(ip, events[s][1]) * prev[s](end)
-        prev = polys
+        level, val = _integrate(ends, sizes, [(1, ip, level)], family)
     return val
 
 
@@ -168,34 +181,20 @@ class GridSeries:
     values: np.ndarray
 
 
-def path_expansion(n: int, path, *, k_max: int = comb.DEFAULT_ORDER_CAP) -> Expansion:
-    """Y-basis expansion of order n built from a path's own compensators.
+def reconstruct(exp: Expansion, path, t0, t=None):
+    """Rebuild (X_t - X_{t0})^n from an expansion, one iterated integral per term.
 
-    A jump path declares its moment vector; a grid path carries the model it
-    was simulated from.
-    """
-    if isinstance(path, JumpPath):
-        return expand_from_moments(n, path.mv, k_max=k_max)
-    if isinstance(path, GridPath):
-        return expand(n, path.model, k_max=k_max)
-    raise EvaluationError(f"unknown path substrate {type(path).__name__}")
-
-
-def _reconstruction(exp: Expansion, path, t0, t):
-    """constant + sum_theta Pi_theta(t - t0) * I_theta, and each term's sup norm.
-
-    On a grid path the value is the series over the grid points from t0 (Y
-    basis only); on a jump path it is the exact scalar at t.  Zero
-    coefficients are not evaluated; their norm is a zero of the substrate's
-    scalar type.
+    The general evaluator (any basis the substrate supports) and the oracle
+    for the level engine.  Grid paths return a :class:`GridSeries` (Y basis
+    only); jump paths return the exact scalar at ``t``.
     """
     if isinstance(path, GridPath):
         if exp.basis != "Y":
             raise EvaluationError(f"basis/substrate mismatch: grid substrate supports the Y basis, got {exp.basis}")
         t0, exp = float(t0), exp.to_float()  # grid integrals run in doubles
-        elapsed = _grid_times(path, t0) - t0
+        times = _grid_times(path, t0)
+        elapsed = times - t0
         integral = lambda theta: eval_grid(path, theta, exp.moments, t0).series
-        sup = lambda v: float(np.max(np.abs(v)))
     elif isinstance(path, JumpPath):
         if t is None:
             raise EvaluationError("exact reconstruction needs an end time t")
@@ -207,33 +206,70 @@ def _reconstruction(exp: Expansion, path, t0, t):
         family = integrators(path, a, compensated=exp.basis != "NONCOMPENSATED")
         elapsed = t - t0
         integral = lambda theta: eval_exact(path, theta, t0, t, family=family)
-        sup = abs
     else:
         raise EvaluationError(f"unknown path substrate {type(path).__name__}")
 
     value = exp.constant(elapsed)
-    zero = sup(elapsed * 0)
-    norms = {}
     for theta, poly in exp.terms.items():
-        if poly.is_zero():
-            norms[theta] = zero
-            continue
-        contrib = poly(elapsed) * integral(theta)
-        norms[theta] = sup(contrib)
-        value = value + contrib
-    return value, norms
+        if not poly.is_zero():
+            value = value + poly(elapsed) * integral(theta)
+    return GridSeries(times, value) if isinstance(path, GridPath) else value
 
 
-def reconstruct(exp: Expansion, path, t0, t=None):
-    """Rebuild (X_t - X_{t0})^n from an expansion on either substrate.
+def _sup(v):
+    """Sup norm of a grid series; absolute value of an exact scalar."""
+    return float(np.max(np.abs(v))) if isinstance(v, np.ndarray) else abs(v)
 
-    Grid paths return a :class:`GridSeries` (Y basis only); jump paths return
-    the exact scalar at ``t``.
+
+def _end(v):
+    """Value at the window's end: a grid series' last point, or the scalar."""
+    return float(v[-1]) if isinstance(v, np.ndarray) else v
+
+
+def _power_levels(path, n: int, t0, t=None, *, k_max: int = comb.DEFAULT_ORDER_CAP) -> Callable[[int], tuple]:
+    """power(e) -> (value, norms): the reconstructed (X_t - X_{t0})^e, any e <= n.
+
+    As Pi_theta = C(e, s) * multinomial(theta) * C^(e-s) with s = sum(theta),
+    the expansion is sum_s C(e, s) * C^(e-s)(t - t0) * V_s with V_0 = 1 and
+    V_s = sum_{i<=s} C(s, i) * int V_{s-i}(u-) dY^(i)(u): integer weights, so
+    exact paths stay exact.  Values are series over the grid points t0..t
+    (t defaults to the end) or scalars at t; norms[s] is level s's sup norm.
+    Only the levels are kept; each power's terms are formed when asked for.
     """
-    value, _ = _reconstruction(exp, path, t0, t)
+    if n > k_max:
+        raise OrderError(f"order too large: {n} > cap {k_max}")
     if isinstance(path, GridPath):
-        return GridSeries(_grid_times(path, float(t0)), value)
-    return value
+        t0 = float(t0)
+        mv = sigma_adjust(moments(path.model, max(n, 2)))
+        i0 = grid_index(t0, path.dt)
+        i1 = path.steps if t is None else grid_index(float(t), path.dt, "t")
+        if not i0 < i1 <= path.steps:
+            raise PathError(f"window [{t0}, {t}] is empty or beyond the grid")
+        elapsed = _grid_times(path, t0)[: i1 - i0 + 1] - t0
+        dY = {i: power_increments(path, i, mv)[i0:i1] for i in range(1, n + 1)}
+        levels = [np.ones(i1 - i0 + 1)]
+        for s in range(1, n + 1):
+            acc = sum(math.comb(s, i) * levels[s - i][:-1] * dY[i] for i in range(1, s + 1))
+            levels.append(np.concatenate(([0.0], np.cumsum(acc))))
+    elif isinstance(path, JumpPath):
+        mv, (ends, sizes), elapsed = path.mv, _segments(path, t0, t), t - t0
+        steps = [([TimePolynomial((1,))] * (len(ends) - 1), 1)]
+        for s in range(1, n + 1):
+            integrands = [(math.comb(s, i), i, steps[s - i][0]) for i in range(1, s + 1)]
+            steps.append(_integrate(ends, sizes, integrands, integrators(path)))
+        levels = [val for _, val in steps]
+    else:
+        raise EvaluationError(f"unknown path substrate {type(path).__name__}")
+
+    c = c_polys(n, mv)
+
+    def power(e: int) -> tuple:
+        if not 0 <= e <= n:
+            raise OrderError(f"power {e} outside the levels 0..{n}")
+        terms = [math.comb(e, s) * c[e - s](elapsed) * levels[s] for s in range(e + 1)]
+        return sum(terms[1:], terms[0]), {s: _sup(terms[s]) for s in range(1, e + 1)}
+
+    return power
 
 
 # --------------------------------------------------------------------------
@@ -258,6 +294,16 @@ class VerificationReport:
     diff: Optional[np.ndarray] = None
 
 
+def _verification(path, n: int, t0, t, direct, provenance: str, k_max: int) -> VerificationReport:
+    """Report comparing a direct power with its level-sum reconstruction."""
+    recon, norms = _power_levels(path, n, t0, t, k_max=k_max)(n)
+    diff = recon - direct
+    grid = isinstance(path, GridPath)
+    series = (_grid_times(path, t0), direct, recon, diff) if grid else ()
+    substrate = "grid" if grid else "exact"
+    return VerificationReport(n, t0, t, substrate, provenance, _sup(diff), _end(diff), _end(direct), norms, *series)
+
+
 def verify_on_grid_path(
     path: GridPath,
     n: int,
@@ -267,30 +313,9 @@ def verify_on_grid_path(
 ) -> VerificationReport:
     """Compare the direct power series with its reconstruction on one path."""
     i0 = grid_index(t0, path.dt)
-    x_rel = np.empty(path.steps - i0 + 1)
-    x_rel[0] = 0.0
-    np.cumsum(path.dX[i0:], out=x_rel[1:])
-    direct = x_rel**n
-    if n == 0:
-        recon, norms = np.ones_like(direct), {}
-    else:
-        recon, norms = _reconstruction(path_expansion(n, path, k_max=k_max), path, t0, None)
-    diff = recon - direct
-    return VerificationReport(
-        n=n,
-        t0=t0,
-        t=path.horizon,
-        substrate="grid",
-        provenance=f"{model_label(path.model)} dt={path.dt} seed={path.seed}/{path.path_index}",
-        max_abs_diff=float(np.max(np.abs(diff))),
-        terminal_diff=float(diff[-1]),
-        terminal_direct=float(direct[-1]),
-        term_norms=norms,
-        times=_grid_times(path, t0),
-        direct=direct,
-        reconstructed=recon,
-        diff=diff,
-    )
+    x_rel = np.concatenate(([0.0], np.cumsum(path.dX[i0:])))
+    provenance = f"{model_label(path.model)} dt={path.dt} seed={path.seed}/{path.path_index}"
+    return _verification(path, n, t0, path.horizon, x_rel**n, provenance, k_max)
 
 
 def verify_grid(
@@ -371,22 +396,8 @@ def verify_exact(
     if float_mode:
         t0, t = float(t0), float(t)
     direct = (p.value(t) - p.value(t0)) ** n
-    if n == 0:
-        recon, norms = 1, {}
-    else:
-        recon, norms = _reconstruction(path_expansion(n, p, k_max=k_max), p, t0, t)
-    diff = recon - direct
-    return VerificationReport(
-        n=n,
-        t0=t0,
-        t=t,
-        substrate="exact",
-        provenance=f"jumps={len(p.jumps)} drift={p.drift_rate} float={float_mode}",
-        max_abs_diff=abs(diff),
-        terminal_diff=diff,
-        terminal_direct=direct,
-        term_norms=norms,
-    )
+    provenance = f"jumps={len(p.jumps)} drift={p.drift_rate} float={float_mode}"
+    return _verification(p, n, t0, t, direct, provenance, k_max)
 
 
 def verify(target, n: int, t0, t, dt=None, seed: int = 0, **kw) -> VerificationReport:
@@ -411,11 +422,9 @@ class ProductCheckReport:
 
 def product_check(path, m: int, n: int, t0, t=None, *, k_max: int = comb.DEFAULT_ORDER_CAP) -> ProductCheckReport:
     """Check reconstruct(m) * reconstruct(n) == reconstruct(m+n) on one path."""
-    vals = {k: _reconstruction(path_expansion(k, path, k_max=k_max), path, t0, t)[0] for k in (m, n, m + n)}
-    diff = vals[m] * vals[n] - vals[m + n]
-    if isinstance(path, GridPath):
-        return ProductCheckReport(m, n, "grid", float(np.max(np.abs(diff))), float(diff[-1]))
-    return ProductCheckReport(m, n, "exact", abs(diff), diff)
+    power = _power_levels(path, m + n, t0, t, k_max=k_max)
+    diff = power(m)[0] * power(n)[0] - power(m + n)[0]
+    return ProductCheckReport(m, n, "grid" if isinstance(path, GridPath) else "exact", _sup(diff), _end(diff))
 
 
 # --------------------------------------------------------------------------
@@ -484,5 +493,5 @@ def report_to_json_dict(report: VerificationReport) -> dict:
         "max_abs_diff": scalar_to_json(report.max_abs_diff),
         "terminal_diff": scalar_to_json(report.terminal_diff),
         "terminal_direct": scalar_to_json(report.terminal_direct),
-        "term_norms": {" ".join(map(str, k)): scalar_to_json(v) for k, v in report.term_norms.items()},
+        "term_norms": {str(s): scalar_to_json(v) for s, v in report.term_norms.items()},
     }

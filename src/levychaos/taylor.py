@@ -25,8 +25,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import combinatorics as comb
-from .errors import FunctionalError
-from .evaluate import path_expansion, reconstruct
+from .errors import FunctionalError, PathError
+from .evaluate import _end, _power_levels, reconstruct  # noqa: F401  (bench/tracer.py looks reconstruct up here)
 from .models import CompoundPoisson, GammaJumps, LevyModel, jump_mean_rate, moments, sigma_adjust
 from .paths import GridPath, JumpPath, grid_index, make_jump_path, rng_for, sample_jump_law
 
@@ -88,6 +88,8 @@ def exp_functional(grid: Sequence, order: int, scale=1.0, weights: Optional[Sequ
     grid = tuple(grid)
     n = len(grid)
     w = tuple(weights) if weights is not None else (1.0,) * n
+    if len(w) != n:
+        raise FunctionalError(f"{len(w)} weights for a functional of arity {n}")
 
     def norm_deriv(e):
         l = sum(e)
@@ -147,18 +149,35 @@ def forward_contract(grid: Sequence, order: int, s0: float, rate: float, maturit
     return FunctionalSpec(spec.arity, grid, order, spec.norm_deriv, spec.value, label="forward")
 
 
+def _number(value, field: str, kind):
+    """A spec's scalar field: a finite JSON number (booleans rejected)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise FunctionalError(f"malformed {kind} spec: {field} must be a finite number, got {value!r}")
+    return value
+
+
 def functional_from_json(data: dict) -> FunctionalSpec:
     kind = data.get("kind")
     grid = data.get("grid")
     order = data.get("order")
     try:
         if kind == "exp":
-            return exp_functional(grid, order, scale=data.get("scale", 1.0), weights=data.get("weights"))
+            scale = _number(data.get("scale", 1.0), "scale", kind)
+            weights = data.get("weights")
+            if weights is not None:
+                weights = [_number(w, "weights", kind) for w in weights]
+            return exp_functional(grid, order, scale=scale, weights=weights)
         if kind == "poly":
-            terms = {tuple(item["exponents"]): item["coeff"] for item in data["terms"]}
+            terms = {}
+            for item in data["terms"]:
+                exps = tuple(item["exponents"])
+                if not all(isinstance(e, int) and not isinstance(e, bool) and e >= 0 for e in exps):
+                    raise FunctionalError(f"malformed poly spec: exponents must be integers >= 0, got {list(exps)}")
+                terms[exps] = _number(item["coeff"], "coeff", kind)
             return poly_functional(grid, order, terms)
         if kind == "forward":
-            return forward_contract(grid, order, data["s0"], data["rate"], data["maturity"])
+            s0, rate, maturity = (_number(data[f], f, kind) for f in ("s0", "rate", "maturity"))
+            return forward_contract(grid, order, s0, rate, maturity)
     except (KeyError, TypeError) as exc:
         raise FunctionalError(f"malformed {kind} spec: missing or mistyped field {exc}")
     raise FunctionalError(f"unknown functional kind {kind!r}")
@@ -188,22 +207,6 @@ class FunctionalReport:
     @property
     def max_abs_error(self) -> float:
         return max((float(e) for e in self.abs_errors), default=0.0)
-
-
-def _interval_powers(spec: FunctionalSpec, path, k_max: int) -> list[dict]:
-    """recon[k][e] = reconstructed (X_{t_k} - X_{t_{k-1}})^e for e = 0..D."""
-    needed = sorted({e for term, _ in taylor_terms(spec) for e in term if e >= 1})
-    exps = {e: path_expansion(e, path, k_max=k_max) for e in needed}
-    out = []
-    for t_lo, t_hi in zip((0,) + spec.grid, spec.grid):
-        per = {0: 1}
-        for e in needed:
-            per[e] = reconstruct(exps[e], path, t_lo, t_hi)
-            if isinstance(path, GridPath):
-                idx = grid_index(float(t_hi) - float(t_lo), path.dt, "interval end")
-                per[e] = float(per[e].values[idx])
-        out.append(per)
-    return out
 
 
 def _increments(spec: FunctionalSpec, path) -> list:
@@ -237,6 +240,8 @@ def model_jump_fixtures(
     compensators.  Truncation studies on these fixtures see no discretization
     error at all.
     """
+    if not (isinstance(horizon, (int, float, Fraction)) and 0 < horizon < math.inf):
+        raise PathError(f"fixture horizon must be a finite number > 0, got {horizon!r}")
     mv = sigma_adjust(moments(model, max(moment_order, 2)))
     drift = float(model.mean_rate) - float(jump_mean_rate(model.jump_part))
     fixtures = []
@@ -286,11 +291,15 @@ def eval_functional(
     if not batch:
         raise FunctionalError("empty path batch")
     terms = taylor_terms(spec)
+    top = max((e for term, _ in terms for e in term), default=0)
+    intervals = list(zip((0,) + spec.grid, spec.grid))
     approxs, directs = [], []
     for path in batch:
         if model is not None and isinstance(path, GridPath) and path.model is not model:
             path = replace(path, model=model)
-        powers = _interval_powers(spec, path, k_max)
+        # powers[k][e]: (X_{t_k} - X_{t_{k-1}})^e, all e <= top from one level-sum pass
+        levels = [_power_levels(path, top, lo, hi, k_max=k_max) for lo, hi in intervals]
+        powers = [[_end(power(e)[0]) for e in range(top + 1)] for power in levels]
         acc = 0
         for e, c in terms:
             term = c

@@ -50,6 +50,13 @@ class TestExpand:
         terms = {tuple(item["tuple"]): item["poly"] for item in data["terms"]}
         assert terms[(1,)][0] == "1/10"  # b21 = -a21 = 1/10
 
+    @pytest.mark.parametrize("kmax", ["0", "-3", "17", "x"])
+    def test_order_cap_env_range(self, kmax):
+        res = run_cli(["expand", "--n", "2", "--basis", "jamshidian"], env={"LEVY_CHAOS_KMAX": kmax})
+        assert res.returncode == 1
+        err = json.loads(res.stderr)
+        assert err["error"] == "cli.config" and "[1, 16]" in err["message"]
+
     def test_order_cap_env(self):
         res = run_cli(["expand", "--n", "5", "--basis", "jamshidian"], env={"LEVY_CHAOS_KMAX": "4"})
         assert res.returncode == 1
@@ -127,6 +134,18 @@ class TestErrorHygiene:
             P(TAYLOR, {"kind": "exp"}, "cli.config", id="spec-without-grid"),
             P(TAYLOR + ["--orders", "x"], {"kind": "exp", "grid": [0.5]}, "cli.config", id="orders-not-int"),
             P(TAYLOR, {"kind": "poly", "grid": [0.5]}, "taylor.invalid", id="poly-spec-without-terms"),
+            P(TAYLOR, {"kind": "exp", "grid": [0.5], "scale": "x"}, "taylor.invalid", id="spec-scale-not-number"),
+            P(TAYLOR, {"kind": "exp", "grid": [0.5], "weights": [1, "w"]}, "taylor.invalid",
+              id="spec-weight-not-number"),
+            P(TAYLOR, {"kind": "exp", "grid": [0.25, 0.5], "weights": [1]}, "taylor.invalid",
+              id="spec-weights-short"),
+            P(TAYLOR, {"kind": "poly", "grid": [0.5], "terms": [{"exponents": [1], "coeff": "3"}]}, "taylor.invalid",
+              id="spec-coeff-not-number"),
+            P(TAYLOR, {"kind": "poly", "grid": [0.5], "terms": [{"exponents": ["1"], "coeff": 3}]}, "taylor.invalid",
+              id="spec-exponent-not-int"),
+            P(TAYLOR, {"kind": "forward", "grid": [0.5], "s0": 100, "rate": "5%", "maturity": 1}, "taylor.invalid",
+              id="spec-rate-not-number"),
+            P(TAYLOR, {"kind": "exp", "grid": [-1.0]}, "paths.invalid", id="spec-grid-negative"),
             P(CONVERGENCE + ["1e-2,abc"], None, "cli.config", id="dt-list-not-float"),
             P(CONVERGENCE + ["1e-2,nan"], None, "paths.invalid", id="dt-list-nan"),
             P(["coeffs", "--n", "2", "--model", GAMMA, "--bogus", "1"], None, "cli.config", id="unknown-flag"),
@@ -238,6 +257,17 @@ class TestConfigFile:
         res = run_cli(["coeffs", "--config", str(cfg)])
         assert res.returncode == 0
         assert json.loads(res.stdout)["c"][2] == [0, "1/40", "1/4"]
+
+    def test_underscore_keys_name_dashed_flags(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "gamma:a=10,b=20", "n": 2, "t": 0.1, "dt_list": "1e-2,1e-3"}))
+        res = run_cli(["convergence", "--config", str(cfg)])
+        assert res.returncode == 0, res.stderr
+        assert len(res.stdout.splitlines()) == 3
+        cfg.write_text(json.dumps({"n": 2, "count": 3, "max_jumps": 0}))
+        res = run_cli(["exact-verify", "--config", str(cfg)])
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["checks"] == 6
 
     def test_cli_flags_override_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"

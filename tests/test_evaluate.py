@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from levychaos.chaos import Expansion, expand, expand_from_moments, jamshidian_expand
-from levychaos.errors import EvaluationError, MomentError, PathError
+from levychaos.errors import EvaluationError, MomentError, OrderError, PathError
 from levychaos.evaluate import (
     coarsen_grid,
     eval_exact,
@@ -23,6 +23,7 @@ from levychaos.evaluate import (
 from levychaos.models import LevyModel, MomentVector, moments, sigma_adjust
 from levychaos.ortho import orthogonalize, to_h_basis
 from levychaos.paths import GridPath, make_jump_path, random_jump_path, simulate_grid
+from levychaos.taylor import eval_functional, exp_functional, model_jump_fixtures
 
 ZERO_MV6 = MomentVector((0,) * 6, 0, adjusted=True)
 DUMMY_MODEL = LevyModel(0, 1)
@@ -337,3 +338,42 @@ class TestCoupledSweep:
     def test_sweep_requires_multiples(self, gamma_model):
         with pytest.raises(PathError, match="multiple"):
             verify_grid_sweep(gamma_model, 2, 0.0, 0.5, [2.5e-3, 1e-3], seed=1)
+
+
+class TestLevelEngineRouting:
+    def test_checks_never_walk_tuple_chains(self, gamma_model, monkeypatch):
+        import levychaos.chaos
+        import levychaos.combinatorics
+        import levychaos.evaluate
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("per-tuple evaluation reached")
+
+        for module, name in [
+            (levychaos.evaluate, "eval_grid"),
+            (levychaos.evaluate, "eval_exact"),
+            (levychaos.combinatorics, "index_set"),
+            (levychaos.chaos, "expand"),
+        ]:
+            monkeypatch.setattr(module, name, forbidden)
+        path = random_jump_path(4, 1, seed=71, rational=True, drift_rate="random")
+        assert verify_exact(path, 5, Fraction(0), Fraction(1)).terminal_diff == 0
+        assert product_check(path, 2, 3, Fraction(1, 4), Fraction(1)).terminal_diff == 0
+        assert verify_grid(gamma_model, 4, 0.0, 0.1, 1e-2, seed=2).max_abs_diff < 1e-2
+        assert product_check(simulate_grid(gamma_model, 0.1, 1e-2, seed=2), 1, 2, 0.0).max_abs_diff < 1e-2
+        spec = exp_functional((0.25, 0.5), 4)
+        assert eval_functional(spec, model_jump_fixtures(gamma_model, 0.5, 2, seed=3)).max_abs_error < 1e-2
+        assert eval_functional(spec, simulate_grid(gamma_model, 0.5, 1e-2, seed=3)).max_abs_error < 1e-1
+
+    def test_term_norms_are_per_level(self, gamma_model):
+        rep = verify_grid(gamma_model, 3, 0.0, 0.1, 1e-2, seed=5)
+        assert list(rep.term_norms) == [1, 2, 3]
+        assert list(report_to_json_dict(rep)["term_norms"]) == ["1", "2", "3"]
+        assert verify_grid(gamma_model, 0, 0.0, 0.1, 1e-2, seed=5).term_norms == {}
+
+    def test_order_cap_kept(self, gamma_model):
+        path = make_jump_path(1, 0, [(Fraction(1, 2), 1)], (0,) * 6)
+        with pytest.raises(OrderError, match="order too large: 5 > cap 4"):
+            verify_exact(path, 5, Fraction(0), Fraction(1), k_max=4)
+        with pytest.raises(OrderError, match="order too large"):
+            product_check(path, 3, 2, Fraction(0), Fraction(1), k_max=4)

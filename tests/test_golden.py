@@ -1,7 +1,8 @@
 """Rational-mode CLI artifacts pinned byte for byte.
 
 Rational artifacts are exact, so their sha256 is the same on every machine;
-a refactor of the coefficient engine must leave every one unchanged.
+a refactor of the coefficient engine or of the exact level sums must leave
+every one unchanged.
 ``tools/golden_hashes.py`` hashes the full artifact list, float ones
 included, for comparing two checkouts on one machine.
 """
@@ -30,6 +31,10 @@ GOLDEN = {
     "expand-jamshidian": (
         ["expand", "--n", "6", "--basis", "jamshidian"],
         "c255244ec56b03b844d262c584015f7ce3eecd43bd2ad4d579f87850d2a24516",
+    ),
+    "exact-verify": (
+        ["exact-verify", "--n", "6", "--count", "30"],
+        "b0636b0efbf450dec3d371c4aa2e37dbe81a8c9be9cade8c73d609cab62d44d0",
     ),
     "ortho": (
         ["ortho", "--order", "6", "--mode", "rational", "--model", G],

@@ -5,11 +5,15 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levychaos.chaos import c_poly_closed, c_poly_recursive, expand_from_moments
+import numpy as np
+
+from levychaos.chaos import c_poly_closed, c_poly_recursive, expand, expand_from_moments, jamshidian_expand
 from levychaos.combinatorics import index_set
-from levychaos.evaluate import reconstruct
-from levychaos.models import MomentVector
-from levychaos.paths import make_jump_path
+from levychaos.errors import DegenerateMeasureError
+from levychaos.evaluate import _power_levels, reconstruct
+from levychaos.models import MomentVector, moments, parse_model, sigma_adjust
+from levychaos.ortho import orthogonalize, to_h_basis
+from levychaos.paths import make_jump_path, simulate_grid
 from levychaos.timepoly import TimePolynomial
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=8)
@@ -65,3 +69,74 @@ def test_pathwise_identity_is_exact(sizes, ms, drift, n):
     recon = reconstruct(exp, path, Fraction(0), Fraction(1))
     direct = (path.value(Fraction(1))) ** n
     assert recon == direct
+
+
+# --------------------------------------------------------------------------
+# level engine against the per-tuple chains and the direct power
+# --------------------------------------------------------------------------
+
+positive = st.fractions(min_value=Fraction(1, 4), max_value=6, max_denominator=6)
+
+
+@st.composite
+def model_specs(draw):
+    parts = []
+    kinds = st.lists(st.sampled_from(["gamma", "cpoisson", "brownian", "drift"]), min_size=1, max_size=3, unique=True)
+    for kind in draw(kinds.filter(lambda ks: not {"gamma", "cpoisson"} <= set(ks))):  # one jump part per model
+        if kind == "gamma":
+            parts.append(f"gamma:a={draw(positive)},b={draw(positive)}")
+        elif kind == "cpoisson":
+            x_minus = -draw(positive)
+            p_minus = draw(st.fractions(min_value=Fraction(1, 8), max_value=Fraction(7, 8), max_denominator=8))
+            parts.append(f"cpoisson:lambda={draw(positive)},jump=point:{x_minus}:{p_minus}:{draw(positive)}")
+        elif kind == "brownian":
+            parts.append(f"brownian:sigma={draw(positive)}")
+        else:
+            parts.append(f"drift:mu={draw(rationals.filter(lambda mu: mu != 0))}")
+    return "+".join(parts)
+
+
+@st.composite
+def windows(draw):
+    """A window t0 < t in [0, 1] and jump times in (0, 1]; t0 > 0 sits on a jump."""
+    ticks = sorted(draw(st.lists(st.integers(min_value=1, max_value=24), max_size=5, unique=True)))
+    t_tick = draw(st.integers(min_value=1, max_value=24))
+    t0_tick = draw(st.sampled_from([0] + [k for k in ticks if k < t_tick]))
+    return Fraction(t0_tick, 24), Fraction(t_tick, 24), [Fraction(k, 24) for k in ticks]
+
+
+@settings(max_examples=25, deadline=None)
+@given(model_specs(), windows(), st.data(), rationals, st.integers(min_value=1, max_value=10))
+def test_level_engine_matches_per_tuple_chains_and_direct_power(spec, window, data, drift, n):
+    model = parse_model(spec)
+    mv = sigma_adjust(moments(model, max(n, 2), exact=True))
+    t0, t, times = window
+    sizes = data.draw(st.lists(jump_sizes, min_size=len(times), max_size=len(times)))
+    path = make_jump_path(Fraction(1), drift, list(zip(times, sizes)), mv.m)
+    flat = make_jump_path(Fraction(1), drift, list(zip(times, sizes)), (0,) * max(n, 2))
+    x = path.value(t) - path.value(t0)
+    power = _power_levels(path, n, t0, t)
+    flat_power = _power_levels(flat, n, t0, t)
+    for e in range(n + 1):
+        assert power(e)[0] == flat_power(e)[0] == x**e
+    for e in range(1, min(n, 6) + 1):
+        expY = expand_from_moments(e, mv)
+        assert reconstruct(expY, path, t0, t) == power(e)[0]
+        assert reconstruct(jamshidian_expand(e), flat, t0, t) == flat_power(e)[0]
+        try:
+            ortho = orthogonalize(model, e, exact=True)
+        except DegenerateMeasureError:  # eta = sigma^2 delta_0 + x^2 nu has too few support points
+            continue
+        assert reconstruct(to_h_basis(expY, ortho), path, t0, t) == power(e)[0]
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(min_value=0, max_value=2**16), st.integers(min_value=0, max_value=20),
+       st.integers(min_value=1, max_value=6))
+def test_level_engine_matches_per_tuple_chains_on_grid(seed, t0_step, n):
+    model = parse_model("brownian:sigma=1/10+gamma:a=10,b=20")
+    path = simulate_grid(model, 0.5, 1e-2, seed=seed)
+    t0 = t0_step * 1e-2
+    value, norms = _power_levels(path, n, t0)(n)
+    oracle = reconstruct(expand(n, model), path, t0).values
+    assert np.max(np.abs(value - oracle)) <= 1e-12 * max(1.0, *norms.values())

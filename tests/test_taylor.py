@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from levychaos.chaos import expand_from_moments
-from levychaos.errors import FunctionalError
+from levychaos.errors import FunctionalError, PathError
 from levychaos.evaluate import reconstruct
 from levychaos.paths import make_jump_path, simulate_grid
 from levychaos.taylor import (
@@ -127,6 +127,11 @@ class TestValidation:
         batch = model_jump_fixtures(gamma_model, 0.5, 1, seed=1)
         with pytest.raises(FunctionalError, match="order too large"):
             eval_functional(spec, batch)
+
+    @pytest.mark.parametrize("horizon", [float("nan"), float("inf"), -1.0, 0.0])
+    def test_fixture_horizon_checked_before_sampling(self, gamma_model, horizon):
+        with pytest.raises(PathError, match="horizon"):
+            model_jump_fixtures(gamma_model, horizon, 2, seed=1)
 
     def test_empty_batch(self):
         with pytest.raises(FunctionalError, match="empty"):
