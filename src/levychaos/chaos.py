@@ -160,6 +160,8 @@ def expand(
     """
     if n < 1:
         raise OrderError("expansion order must be >= 1")
+    if n > k_max:  # before the moments, which a huge n would take long to build
+        raise OrderError(f"order too large: {n} > cap {k_max}")
     mv = sigma_adjust(moments(model, max(n, 2), exact=exact))
     return expand_from_moments(n, mv, k_max=k_max)
 

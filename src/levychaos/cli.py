@@ -1,16 +1,19 @@
 """Command-line front end.
 
 Subcommands: coeffs, expand, ortho, simulate, verify, convergence,
-exact-verify, taylor.  Outputs are CSV (LF line endings, '.' decimal
-separator, header row) or JSON (UTF-8, stable key order); floats use the
-shortest round-trip representation, so identical configs produce
-byte-identical artifacts.  Output files are written to a temporary sibling
-and atomically renamed; error paths never leave partial files.  Errors,
-usage errors included, exit 1 with machine-readable JSON on stderr.
+exact-verify, taylor.  Each accepts --out, --config and exactly the flags
+its handler reads (``_COMMANDS``); any other flag, or an abbreviated one, is
+a usage error.  Outputs are CSV (LF line endings, '.' decimal separator,
+header row) or JSON (UTF-8, stable key order); floats use the shortest
+round-trip representation, so identical configs produce byte-identical
+artifacts.  Output files are written to a temporary sibling and atomically
+renamed; error paths never leave partial files.  Errors, usage errors
+included, exit 1 with machine-readable JSON on stderr.
 
-LEVY_CHAOS_KMAX overrides the order cap: an integer in [1, 16], default 12
-(float-mode orthogonalization stays capped at 8).  --config keys may be
-spelled with '-' or '_' (``dt-list`` or ``dt_list``).
+LEVY_CHAOS_KMAX overrides the order cap on every order the CLI takes: an
+integer in [1, 16], default 12 (float-mode orthogonalization stays capped at
+8).  --config keys may be spelled with '-' or '_' (``dt-list`` or
+``dt_list``); a key naming a flag the command does not read fails.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from . import combinatorics as comb
 from .chaos import (
     c_polys,
     expand,
-    expand_from_moments,
     expansion_csv_rows,
     expansion_to_json_dict,
     jamshidian_expand,
@@ -42,8 +44,8 @@ from .evaluate import (
     verify_grid,
     verify_grid_sweep,
 )
-from .models import moments, parse_model, sigma_adjust
-from .ortho import FLOAT_ORDER_CAP, orthogonalize, ortho_to_json_dict, to_h_basis
+from .models import parse_model
+from .ortho import orthogonalize, ortho_to_json_dict, to_h_basis
 from .paths import grid_csv_rows, simulate_grid
 from .taylor import eval_functional, functional_from_json, model_jump_fixtures
 
@@ -115,25 +117,15 @@ def _number_list(text: str, conv, flag: str) -> list:
         raise ConfigError(f"{flag} must be a comma-separated list of numbers, got {text!r}")
 
 
-def _require(args, names: list[str]) -> None:
-    missing = [n for n in names if getattr(args, n.replace("-", "_")) is None]
-    if missing:
-        raise ConfigError(f"missing required options: {', '.join('--' + n for n in missing)}")
-
-
 # --------------------------------------------------------------------------
 # subcommands
 # --------------------------------------------------------------------------
 
 
 def _cmd_coeffs(args) -> None:
-    _require(args, ["model", "n"])
-    model = parse_model(args.model)
-    exact = args.mode == "rational"
     n = args.n
-    mv = sigma_adjust(moments(model, max(n, 2), exact=exact))
-    pis = expand_from_moments(n, mv, k_max=_k_max()).terms.items()
-    c_list = c_polys(n, mv)
+    exp = expand(n, parse_model(args.model), exact=args.mode == "rational", k_max=_k_max())
+    pis, c_list = exp.terms.items(), c_polys(n, exp.moments)
     if args.format == "json":
         payload = {
             "order": n,
@@ -154,16 +146,16 @@ def _cmd_coeffs(args) -> None:
 
 
 def _cmd_expand(args) -> None:
-    _require(args, ["n"])
     basis = args.basis
     if basis == "jamshidian":
         exp = jamshidian_expand(args.n, k_max=_k_max())
     else:
-        _require(args, ["model"])
+        if args.model is None:
+            raise ConfigError("the y and h bases require --model")
         model = parse_model(args.model)
         exp = expand(args.n, model, exact=args.mode == "rational", k_max=_k_max())
         if basis == "h":
-            ortho = orthogonalize(model, args.n, exact=args.mode == "rational")
+            ortho = orthogonalize(model, args.n, exact=args.mode == "rational", k_max=_k_max())
             exp = to_h_basis(exp, ortho)
     if args.format == "csv":
         _emit(_csv_text(expansion_csv_rows(exp)), args.out)
@@ -172,12 +164,8 @@ def _cmd_expand(args) -> None:
 
 
 def _cmd_ortho(args) -> None:
-    _require(args, ["model", "order"])
     model = parse_model(args.model)
-    exact = args.mode == "rational"
-    if not exact and args.order > FLOAT_ORDER_CAP:
-        raise ConfigError(f"float-mode orthogonalization capped at {FLOAT_ORDER_CAP}")
-    ortho = orthogonalize(model, args.order, exact=exact)
+    ortho = orthogonalize(model, args.order, exact=args.mode == "rational", k_max=_k_max())
     if args.format == "csv":
         rows = [["array", "row", "entries"]]
         for name, tri in (("a", ortho.a), ("b", ortho.b)):
@@ -190,18 +178,12 @@ def _cmd_ortho(args) -> None:
 
 
 def _cmd_simulate(args) -> None:
-    _require(args, ["model", "t", "dt"])
-    if args.mode == "rational":
-        raise ConfigError("rational mode forbids simulation commands")
     model = parse_model(args.model)
     path = simulate_grid(model, args.t, args.dt, args.t0, args.seed)
     _emit(_csv_text(grid_csv_rows(path)), args.out)
 
 
 def _cmd_verify(args) -> None:
-    _require(args, ["model", "n", "t", "dt"])
-    if args.mode == "rational":
-        raise ConfigError("rational mode forbids simulation commands")
     model = parse_model(args.model)
     report = verify_grid(model, args.n, args.t0, args.t, args.dt, args.seed, k_max=_k_max())
     if args.out:
@@ -210,9 +192,6 @@ def _cmd_verify(args) -> None:
 
 
 def _cmd_convergence(args) -> None:
-    _require(args, ["model", "n", "t", "dt_list"])
-    if args.mode == "rational":
-        raise ConfigError("rational mode forbids simulation commands")
     model = parse_model(args.model)
     dts = _number_list(args.dt_list, float, "--dt-list")
     if not dts:
@@ -225,7 +204,6 @@ def _cmd_convergence(args) -> None:
 
 
 def _cmd_exact_verify(args) -> None:
-    _require(args, ["n"])
     reports = exact_identity_suite(
         args.count,
         args.n,
@@ -248,7 +226,6 @@ def _cmd_exact_verify(args) -> None:
 
 
 def _cmd_taylor(args) -> None:
-    _require(args, ["spec", "model"])
     spec_data = _read_json_object(args.spec, "--spec")
     grid = spec_data.get("grid")
     if not (isinstance(grid, list) and grid and all(isinstance(x, (int, float)) and math.isfinite(x) for x in grid)):
@@ -284,73 +261,58 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+# Every flag's argparse definition, once.  --out and --config go to every
+# command; any other flag goes only to the commands that list it below.
+_FLAGS = {
+    "out": dict(help="output file (atomic write); stdout if omitted"),
+    "config": dict(help="JSON file supplying defaults for the command's options"),
+    "model": dict(help="model string, e.g. brownian:sigma=0.01+gamma:a=10,b=20"),
+    "mode": dict(choices=["float", "rational"], default="float"),
+    "format": dict(choices=["json", "csv"], default="json"),
+    "n": dict(type=int, help="expansion order (exact-verify checks all orders 1..n)"),
+    "order": dict(type=int),
+    "basis": dict(choices=["y", "h", "jamshidian"], default="y"),
+    "t0": dict(type=float, default=0.0, help="window start time (grid-aligned)"),
+    "t": dict(type=float, help="window end time"),
+    "dt": dict(type=float, help="grid step (taylor: use the grid substrate with this step)"),
+    "dt-list": dict(help="comma-separated steps, e.g. 1e-2,1e-3,1e-4"),
+    "seed": dict(type=int, default=0),
+    "count": dict(type=int, default=30),
+    "max-jumps": dict(type=int, default=8),
+    "spec": dict(help="FunctionalSpec JSON file"),
+    "orders": dict(default="2,4,6,8"),
+    "paths": dict(type=int, default=32),
+}
+
+# name: (handler, help, required flags, optional flags, per-command defaults);
+# the flags are exactly those the handler reads.
+_COMMANDS = {
+    "coeffs": (_cmd_coeffs, "constant and integral coefficient tables", "model n", "mode format", {}),
+    "expand": (_cmd_expand, "full expansion in a chosen basis", "n", "model mode format basis", {}),
+    "ortho": (_cmd_ortho, "orthogonalization coefficient tables", "model order", "mode format", {}),
+    "simulate": (_cmd_simulate, "sample one grid path to CSV", "model t dt", "t0 seed", {}),
+    "verify": (_cmd_verify, "grid verification; diff CSV + report JSON", "model n t dt", "t0 seed", {}),
+    "convergence": (_cmd_convergence, "max-diff table over a dt sweep", "model n t dt-list", "t0 seed", {}),
+    "exact-verify": (_cmd_exact_verify, "exact identity on random jump fixtures", "n", "mode count max-jumps seed",
+                     {"mode": "rational"}),
+    "taylor": (_cmd_taylor, "truncation study for a functional spec", "spec model", "orders paths dt seed", {}),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="levychaos",
         description="Chaos-expansion coefficients for powers of Levy increments, with pathwise verification.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, *, sim=False):
-        p.add_argument("--model", help="model string, e.g. brownian:sigma=0.01+gamma:a=10,b=20")
-        p.add_argument("--mode", choices=["float", "rational"], default="float")
-        p.add_argument("--format", choices=["json", "csv"], default="json")
-        p.add_argument("--out", help="output file (atomic write); stdout if omitted")
-        p.add_argument("--config", help="JSON file supplying defaults for any option")
-        if sim:
-            p.add_argument("--t0", type=float, default=0.0, help="window start time (grid-aligned)")
-            p.add_argument("--t", type=float, help="window end time")
-            p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("coeffs", help="constant and integral coefficient tables")
-    common(p)
-    p.add_argument("--n", type=int)
-    p.set_defaults(func=_cmd_coeffs)
-
-    p = sub.add_parser("expand", help="full expansion in a chosen basis")
-    common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--basis", choices=["y", "h", "jamshidian"], default="y")
-    p.set_defaults(func=_cmd_expand)
-
-    p = sub.add_parser("ortho", help="orthogonalization coefficient tables")
-    common(p)
-    p.add_argument("--order", type=int)
-    p.set_defaults(func=_cmd_ortho)
-
-    p = sub.add_parser("simulate", help="sample one grid path to CSV")
-    common(p, sim=True)
-    p.add_argument("--dt", type=float)
-    p.set_defaults(func=_cmd_simulate, format="csv")
-
-    p = sub.add_parser("verify", help="grid verification; diff CSV + report JSON")
-    common(p, sim=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--dt", type=float)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("convergence", help="max-diff table over a dt sweep")
-    common(p, sim=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--dt-list", dest="dt_list", help="comma-separated steps, e.g. 1e-2,1e-3,1e-4")
-    p.set_defaults(func=_cmd_convergence, format="csv")
-
-    p = sub.add_parser("exact-verify", help="exact identity on random jump fixtures")
-    common(p)
-    p.add_argument("--n", type=int, help="check all orders 1..n")
-    p.add_argument("--count", type=int, default=30)
-    p.add_argument("--max-jumps", dest="max_jumps", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_exact_verify, mode="rational")
-
-    p = sub.add_parser("taylor", help="truncation study for a functional spec")
-    common(p, sim=True)
-    p.add_argument("--spec", help="FunctionalSpec JSON file")
-    p.add_argument("--orders", default="2,4,6,8")
-    p.add_argument("--paths", type=int, default=32)
-    p.add_argument("--dt", type=float, help="use the grid substrate with this step")
-    p.set_defaults(func=_cmd_taylor, format="csv")
-
+    for name, (func, help_text, required, optional, defaults) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for flag in required.split():
+            p.add_argument(f"--{flag}", required=True, **_FLAGS[flag])
+        for flag in ["out", "config", *optional.split()]:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
+        p.set_defaults(func=func, **defaults)
     return parser
 
 

@@ -29,7 +29,8 @@ from . import combinatorics as comb
 from .chaos import Expansion, c_polys, scalar_to_json
 from .errors import EvaluationError, OrderError, PathError
 from .models import LevyModel, model_label, moments, sigma_adjust
-from .paths import GridPath, JumpPath, grid_index, power_increments, random_jump_path, rng_for, simulate_grid
+from .paths import RATIONAL_TICKS, GridPath, JumpPath, grid_index, power_increments, random_jump_path, rng_for
+from .paths import simulate_grid
 from .timepoly import TimePolynomial
 
 # --------------------------------------------------------------------------
@@ -243,7 +244,7 @@ def _power_levels(path, n: int, t0, t=None, *, k_max: int = comb.DEFAULT_ORDER_C
         mv = sigma_adjust(moments(path.model, max(n, 2)))
         i0 = grid_index(t0, path.dt)
         i1 = path.steps if t is None else grid_index(float(t), path.dt, "t")
-        if not i0 < i1 <= path.steps:
+        if not 0 <= i0 < i1 <= path.steps:
             raise PathError(f"window [{t0}, {t}] is empty or beyond the grid")
         elapsed = _grid_times(path, t0)[: i1 - i0 + 1] - t0
         dY = {i: power_increments(path, i, mv)[i0:i1] for i in range(1, n + 1)}
@@ -294,9 +295,9 @@ class VerificationReport:
     diff: Optional[np.ndarray] = None
 
 
-def _verification(path, n: int, t0, t, direct, provenance: str, k_max: int) -> VerificationReport:
-    """Report comparing a direct power with its level-sum reconstruction."""
-    recon, norms = _power_levels(path, n, t0, t, k_max=k_max)(n)
+def _verification(power, path, n: int, t0, t, direct, provenance: str) -> VerificationReport:
+    """Report comparing a direct power with its level-sum reconstruction ``power(n)``."""
+    recon, norms = power(n)
     diff = recon - direct
     grid = isinstance(path, GridPath)
     series = (_grid_times(path, t0), direct, recon, diff) if grid else ()
@@ -315,7 +316,8 @@ def verify_on_grid_path(
     i0 = grid_index(t0, path.dt)
     x_rel = np.concatenate(([0.0], np.cumsum(path.dX[i0:])))
     provenance = f"{model_label(path.model)} dt={path.dt} seed={path.seed}/{path.path_index}"
-    return _verification(path, n, t0, path.horizon, x_rel**n, provenance, k_max)
+    power = _power_levels(path, n, t0, path.horizon, k_max=k_max)
+    return _verification(power, path, n, t0, path.horizon, x_rel**n, provenance)
 
 
 def verify_grid(
@@ -392,12 +394,18 @@ def verify_exact(
     In rational mode the terminal difference is an exact scalar (zero when the
     identity holds); float mode evaluates the same algebra in doubles.
     """
+    return _exact_reports(path, [n], t0, t, float_mode=float_mode, k_max=k_max)[0]
+
+
+def _exact_reports(path: JumpPath, ns, t0, t, *, float_mode: bool, k_max: int) -> list[VerificationReport]:
+    """:func:`verify_exact` for every order in ``ns``, from one level build."""
     p = path.to_float() if float_mode else path
     if float_mode:
         t0, t = float(t0), float(t)
-    direct = (p.value(t) - p.value(t0)) ** n
+    power = _power_levels(p, max(ns), t0, t, k_max=k_max)
+    increment = p.value(t) - p.value(t0)
     provenance = f"jumps={len(p.jumps)} drift={p.drift_rate} float={float_mode}"
-    return _verification(p, n, t0, t, direct, provenance, k_max)
+    return [_verification(power, p, n, t0, t, increment**n, provenance) for n in ns]
 
 
 def verify(target, n: int, t0, t, dt=None, seed: int = 0, **kw) -> VerificationReport:
@@ -442,7 +450,16 @@ def exact_identity_suite(
     float_mode: bool = False,
     k_max: int = comb.DEFAULT_ORDER_CAP,
 ) -> list[VerificationReport]:
-    """Random rational fixtures (jumps, drift, compensators), all n <= n_max."""
+    """Random rational fixtures (jumps, drift, compensators), all n <= n_max.
+
+    Each fixture builds its levels once, at n_max, and reads every n from them.
+    """
+    if count < 1 or n_max < 1:
+        raise EvaluationError(f"the suite needs count >= 1 and n_max >= 1, got count={count}, n_max={n_max}")
+    if n_max > k_max:  # before each fixture draws n_max compensators
+        raise OrderError(f"order too large: {n_max} > cap {k_max}")
+    if not 0 <= max_jumps <= RATIONAL_TICKS:
+        raise PathError(f"max_jumps must be in [0, {RATIONAL_TICKS}], got {max_jumps}")
     reports = []
     for f in range(count):
         rng = rng_for(seed, f)
@@ -456,8 +473,8 @@ def exact_identity_suite(
             rational=True,
         )
         t0 = Fraction(horizon) * Fraction(int(rng.integers(0, 4)), 16)
-        for n in range(1, n_max + 1):
-            reports.append(verify_exact(path, n, t0, Fraction(horizon), float_mode=float_mode, k_max=k_max))
+        ns = range(1, n_max + 1)
+        reports += _exact_reports(path, ns, t0, Fraction(horizon), float_mode=float_mode, k_max=k_max)
     return reports
 
 

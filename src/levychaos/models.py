@@ -24,6 +24,11 @@ from .errors import ModelError, MomentError
 Scalar = Union[int, float, Fraction]
 
 
+def _ratio(x: Scalar, y: Scalar) -> Scalar:
+    """x / y, kept exact when both are ints or Fractions."""
+    return Fraction(x) / y if isinstance(x, (int, Fraction)) and isinstance(y, (int, Fraction)) else x / y
+
+
 # --------------------------------------------------------------------------
 # jump-size laws for compound Poisson parts
 # --------------------------------------------------------------------------
@@ -61,7 +66,7 @@ class ExponentialSigned:
 
     def moment(self, i: int) -> Scalar:
         signed = self.sign_prob + (-1) ** i * (1 - self.sign_prob)
-        return signed * math.factorial(i) / self.rate**i
+        return _ratio(signed * math.factorial(i), self.rate**i)
 
 
 @dataclass(frozen=True)
@@ -140,7 +145,7 @@ def jump_mean_rate(jump_part: JumpPart) -> Scalar:
     if jump_part is None:
         return 0
     if isinstance(jump_part, GammaJumps):
-        return jump_part.a / jump_part.b
+        return _ratio(jump_part.a, jump_part.b)
     if isinstance(jump_part, CompoundPoisson):
         return jump_part.intensity * jump_part.law.moment(1)
     if isinstance(jump_part, SyntheticMoments):
@@ -259,7 +264,7 @@ def _num(tok: str) -> Scalar:
         pass
     try:
         return Fraction(tok)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise ModelError(f"cannot parse number {tok!r}")
 
 

@@ -40,6 +40,8 @@ from .models import (
 
 def rng_for(seed: int, path_index: int = 0) -> np.random.Generator:
     """Independent, reproducible stream for one path of a batch."""
+    if seed < 0:
+        raise PathError(f"seed must be >= 0, got {seed}")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(path_index,))))
 
 
@@ -73,8 +75,8 @@ class GridPath:
 
 
 def grid_index(t: float, dt: float, label: str = "t0") -> int:
-    if not (math.isfinite(t) and math.isfinite(dt)):
-        raise PathError(f"non-finite {label} or dt: {label}={t}, dt={dt}")
+    if not (math.isfinite(t) and math.isfinite(dt) and math.isfinite(t / dt)):
+        raise PathError(f"non-finite {label}, dt or step count: {label}={t}, dt={dt}")
     idx = round(t / dt)
     if abs(idx * dt - t) > 1e-9 * max(1.0, abs(t)):
         raise PathError(f"misaligned {label}: {t} is not a grid multiple of dt={dt}")
@@ -228,6 +230,10 @@ def make_jump_path(
     return JumpPath(horizon, drift_rate, tuple((s, x) for s, x in jumps), mv)
 
 
+# Rational fixture jump times are distinct multiples of horizon / RATIONAL_TICKS.
+RATIONAL_TICKS = 1024
+
+
 def _default_size(rng: np.random.Generator) -> float:
     x = 0.0
     while x == 0.0:
@@ -253,12 +259,13 @@ def random_jump_path(
     """
     if count < 0:
         raise PathError("jump count must be >= 0")
+    if rational and count > RATIONAL_TICKS:
+        raise PathError(f"a rational fixture holds at most {RATIONAL_TICKS} jumps, got {count}")
     rng = rng_for(seed, 0)
     if rational:
         horizon = Fraction(horizon)
-        grid = 1024
-        ticks = sorted(rng.choice(np.arange(1, grid + 1), size=count, replace=False)) if count else []
-        times = [horizon * Fraction(int(k), grid) for k in ticks]
+        ticks = sorted(rng.choice(np.arange(1, RATIONAL_TICKS + 1), size=count, replace=False)) if count else []
+        times = [horizon * Fraction(int(k), RATIONAL_TICKS) for k in ticks]
         sizes = []
         for _ in range(count):
             num = 0

@@ -1,8 +1,16 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from levychaos import cli
 
 CLI = [sys.executable, "-m", "levychaos.cli"]
 
@@ -148,9 +156,23 @@ class TestErrorHygiene:
             P(TAYLOR, {"kind": "exp", "grid": [-1.0]}, "paths.invalid", id="spec-grid-negative"),
             P(CONVERGENCE + ["1e-2,abc"], None, "cli.config", id="dt-list-not-float"),
             P(CONVERGENCE + ["1e-2,nan"], None, "paths.invalid", id="dt-list-nan"),
+            P(CONVERGENCE + ["1e-2", "--t0", "-0.05"], None, "paths.invalid", id="convergence-negative-t0"),
             P(["coeffs", "--n", "2", "--model", GAMMA, "--bogus", "1"], None, "cli.config", id="unknown-flag"),
             P(["coeffs", "--n", "2", "--model", GAMMA, "--mode", "decimal"], None, "cli.config", id="bad-choice"),
             P(["nosuchcommand"], None, "cli.config", id="unknown-command"),
+            P(["coeffs", "--n", "2", "--mod", GAMMA], None, "cli.config", id="abbreviated-flag"),
+            P(["simulate", "--model", GAMMA, "--t", "0.1", "--dt", "1e-2", "--seed", "-1"], None, "paths.invalid",
+              id="negative-seed"),
+            P(["exact-verify", "--n", "2", "--max-jumps", "-1"], None, "paths.invalid", id="negative-max-jumps"),
+            P(["simulate", "--model", GAMMA, "--t", "1e300", "--dt", "1e-300"], None, "paths.invalid",
+              id="step-count-beyond-float"),
+            P(["coeffs", "--n", "2", "--model", "gamma:a=1/0,b=2"], None, "models.invalid", id="zero-denominator"),
+            P(["exact-verify", "--n", "0"], None, "evaluate.invalid", id="exact-verify-no-orders"),
+            P(["exact-verify", "--n", "2", "--count", "0"], None, "evaluate.invalid", id="exact-verify-no-fixtures"),
+            P(["ortho", "--order", "1000000", "--mode", "rational", "--model", GAMMA], None, "combinatorics.order",
+              id="ortho-order-beyond-cap"),
+            P(["coeffs", "--n", "1000000", "--mode", "rational", "--model", GAMMA], None, "combinatorics.order",
+              id="coeffs-order-beyond-cap"),
         ],
     )
     def test_bad_input_exits_1_with_json_no_partial_file(self, tmp_path, argv, spec, code):
@@ -170,6 +192,51 @@ class TestErrorHygiene:
         res = run_cli(["coeffs", "--model", "gamma:a=10,b=20"])
         assert res.returncode == 1
         assert json.loads(res.stderr)["error"] == "cli.config"
+
+
+SIMULATE = ["simulate", "--model", GAMMA, "--t", "0.1", "--dt", "1e-2"]
+VERIFY_RUN = VERIFY + ["--t", "0.1", "--dt", "1e-2"]
+CONVERGENCE_RUN = CONVERGENCE + ["1e-2"]
+EXACT_VERIFY = ["exact-verify", "--n", "2", "--count", "2"]
+EXP_SPEC = {"kind": "exp", "grid": [0.5]}
+
+
+def main_with_spec(tmp_path, argv):
+    """Run ``cli.main`` in process, giving taylor a spec file and every command an --out file."""
+    if argv and argv[0] == "taylor":
+        (tmp_path / "spec.json").write_text(json.dumps(EXP_SPEC))
+        argv = argv + ["--spec", str(tmp_path / "spec.json")]
+    return cli.main(argv + ["--out", str(tmp_path / "x.out")])
+
+
+class TestFlagTable:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            P(SIMULATE + ["--format", "csv"], id="simulate-format"),
+            P(VERIFY_RUN + ["--format", "json"], id="verify-format"),
+            P(CONVERGENCE_RUN + ["--format", "csv"], id="convergence-format"),
+            P(EXACT_VERIFY + ["--format", "csv"], id="exact-verify-format"),
+            P(TAYLOR + ["--format", "csv"], id="taylor-format"),
+            P(SIMULATE + ["--mode", "float"], id="simulate-mode"),
+            P(VERIFY_RUN + ["--mode", "float"], id="verify-mode"),
+            P(CONVERGENCE_RUN + ["--mode", "float"], id="convergence-mode"),
+            P(TAYLOR + ["--mode", "rational"], id="taylor-mode"),
+            P(EXACT_VERIFY + ["--model", GAMMA], id="exact-verify-model"),
+            P(TAYLOR + ["--t0", "0"], id="taylor-t0"),
+            P(TAYLOR + ["--t", "5"], id="taylor-t"),
+        ],
+    )
+    def test_flag_the_command_does_not_read_is_rejected(self, tmp_path, capsys, argv):
+        assert main_with_spec(tmp_path, argv) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "cli.config" and "unrecognized arguments" in err["message"]
+        assert not (tmp_path / "x.out").exists()
+
+    @pytest.mark.parametrize("argv", [SIMULATE, VERIFY_RUN, CONVERGENCE_RUN, EXACT_VERIFY, TAYLOR])
+    def test_same_command_without_the_flag_runs(self, tmp_path, argv):
+        assert main_with_spec(tmp_path, argv) == 0
+        assert (tmp_path / "x.out").exists()
 
 
 class TestSimulate:
@@ -232,6 +299,13 @@ class TestOrtho:
     def test_float_cap(self):
         res = run_cli(["ortho", "--model", "gamma:a=10,b=20", "--order", "9"])
         assert res.returncode == 1
+        assert json.loads(res.stderr)["error"] == "combinatorics.order"
+
+    def test_order_cap_follows_env(self):
+        argv = ["ortho", "--model", "gamma:a=10,b=20", "--order", "13", "--mode", "rational"]
+        assert json.loads(run_cli(argv).stderr)["error"] == "combinatorics.order"
+        res = run_cli(argv, env={"LEVY_CHAOS_KMAX": "13"})
+        assert res.returncode == 0 and len(json.loads(res.stdout)["a"]) == 13
 
 
 class TestTaylorCommand:
@@ -269,9 +343,91 @@ class TestConfigFile:
         assert res.returncode == 0, res.stderr
         assert json.loads(res.stdout)["checks"] == 6
 
+    def test_config_key_naming_a_flag_the_command_does_not_read_fails(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "gamma:a=10,b=20", "n": 2, "t": 0.1, "dt": 1e-2, "mode": "float"}))
+        res = run_cli(["verify", "--config", str(cfg)])
+        assert res.returncode == 1
+        assert json.loads(res.stderr)["error"] == "cli.config"
+
     def test_cli_flags_override_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n": 2, "model": "gamma:a=10,b=20"}))
         res = run_cli(["coeffs", "--config", str(cfg), "--n", "3"])
         assert res.returncode == 0
         assert json.loads(res.stdout)["order"] == 3
+
+
+# Values drawn for each flag: valid ones, and NaN, infinite, negative, huge and
+# non-numeric ones.  --count and --paths stay small: their cost is linear in the
+# value, so a huge one is a long valid run, not a bad input.
+FLOATS = ["0", "0.05", "0.5", "1", "-1", "nan", "inf", "-inf", "1e300", "1e-300", "x"]
+INTS = ["0", "1", "2", "3", "-1", "1000000", "1e300", "nan", "x"]
+SMALL = ["0", "1", "2", "-1", "nan", "x"]
+FUZZ_VALUES = {
+    "--model": [GAMMA, "brownian:sigma=1", "cpoisson:lambda=1,jump=expsign:3:1", "gamma:a=1/0,b=2",
+                "gamma:a=1e400,b=1", "drift:mu=0", "x"],
+    "--mode": ["float", "rational", "decimal"],
+    "--format": ["json", "csv", "xml"],
+    "--basis": ["y", "h", "jamshidian", "q"],
+    "--n": INTS, "--order": INTS, "--max-jumps": INTS, "--seed": INTS + ["99999999999999999999"],
+    "--count": SMALL, "--paths": SMALL,
+    "--t0": FLOATS, "--t": FLOATS, "--dt": FLOATS,
+    "--dt-list": ["0.05", "0.05,0.5", "1e-300,0.5", "0.05,1e300", "0.05,nan", "-1", "0", "x", ""],
+    "--orders": ["2", "2,4", "-1", "1000000", "nan", "", "x"],
+    "--spec": ["SPEC", "NOT_AN_OBJECT", "MISSING"],
+    "--config": ["CONFIG", "MISSING"],
+    "--bogus": ["1"], "--mod": [GAMMA], "--form": ["csv"],
+}
+# The options each command needs before it does any work; drawn flags follow them and win.
+FUZZ_BASE = {
+    "coeffs": ["--model", GAMMA, "--n", "2"],
+    "expand": ["--model", GAMMA, "--n", "2"],
+    "ortho": ["--model", GAMMA, "--order", "2"],
+    "simulate": ["--model", GAMMA, "--t", "0.5", "--dt", "0.05"],
+    "verify": ["--model", GAMMA, "--n", "2", "--t", "0.5", "--dt", "0.05"],
+    "convergence": ["--model", GAMMA, "--n", "2", "--t", "0.5", "--dt-list", "0.05"],
+    "exact-verify": ["--n", "2", "--count", "2", "--max-jumps", "2"],
+    "taylor": ["--model", GAMMA, "--spec", "SPEC", "--orders", "2,4", "--paths", "2"],
+    "nosuchcommand": [],
+}
+
+
+def fuzz_command_argv(command):
+    """argv for one command: its base options, then flags drawn half from its own, half from all."""
+    names = st.sampled_from(sorted(FUZZ_VALUES))
+    if command in cli._COMMANDS:
+        _, _, required, optional, _ = cli._COMMANDS[command]
+        names = st.one_of(st.sampled_from([f"--{f}" for f in f"{required} {optional}".split()]), names)
+    pair = names.flatmap(lambda f: st.sampled_from(FUZZ_VALUES[f]).map(lambda v: [f, v]))
+    return st.lists(pair, max_size=4).map(lambda flags: [command, *FUZZ_BASE[command], *sum(flags, [])])
+
+
+fuzz_argv = st.sampled_from(sorted(FUZZ_BASE)).flatmap(fuzz_command_argv)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(fuzz_argv)
+def test_argv_fuzz_exits_0_or_json_error_without_output(argv):
+    with tempfile.TemporaryDirectory() as work:
+        files = {
+            "SPEC": os.path.join(work, "spec.json"),
+            "NOT_AN_OBJECT": os.path.join(work, "list.json"),
+            "CONFIG": os.path.join(work, "cfg.json"),
+            "MISSING": os.path.join(work, "missing.json"),
+        }
+        for name, data in [("SPEC", EXP_SPEC), ("NOT_AN_OBJECT", [0.5]), ("CONFIG", {"seed": 3})]:
+            with open(files[name], "w", encoding="utf-8") as fh:
+                json.dump(data, fh)
+        out = os.path.join(work, "x.out")
+        argv = [files.get(tok, tok) for tok in argv] + ["--out", out]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(argv)
+        if code == 0:
+            return
+        assert code == 1
+        err = json.loads(stderr.getvalue())
+        assert set(err) == {"error", "message"}
+        assert not os.path.exists(out)
+        assert sorted(os.listdir(work)) == ["cfg.json", "list.json", "spec.json"]

@@ -371,6 +371,31 @@ class TestLevelEngineRouting:
         assert list(report_to_json_dict(rep)["term_norms"]) == ["1", "2", "3"]
         assert verify_grid(gamma_model, 0, 0.0, 0.1, 1e-2, seed=5).term_norms == {}
 
+    def test_identity_suite_builds_levels_once_per_fixture(self, monkeypatch):
+        import levychaos.evaluate
+
+        builds = []
+        real = levychaos.evaluate._power_levels
+
+        def counting(path, n, *args, **kwargs):
+            builds.append(n)
+            return real(path, n, *args, **kwargs)
+
+        monkeypatch.setattr(levychaos.evaluate, "_power_levels", counting)
+        reports = exact_identity_suite(5, 6, seed=3)
+        assert builds == [6] * 5
+        assert [r.n for r in reports] == list(range(1, 7)) * 5
+        assert all(r.terminal_diff == 0 for r in reports)
+
+    @pytest.mark.parametrize(
+        "count,n_max,max_jumps,error",
+        [(0, 3, 8, EvaluationError), (3, 0, 8, EvaluationError), (1, 13, 8, OrderError),
+         (1, 3, -1, PathError), (1, 3, 1025, PathError)],
+    )
+    def test_identity_suite_rejects_empty_or_out_of_range_runs(self, count, n_max, max_jumps, error):
+        with pytest.raises(error):
+            exact_identity_suite(count, n_max, seed=0, max_jumps=max_jumps)
+
     def test_order_cap_kept(self, gamma_model):
         path = make_jump_path(1, 0, [(Fraction(1, 2), 1)], (0,) * 6)
         with pytest.raises(OrderError, match="order too large: 5 > cap 4"):

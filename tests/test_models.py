@@ -90,6 +90,14 @@ def test_exponential_signed_moments():
         assert mv.moment(i) == expected
 
 
+@pytest.mark.parametrize("spec", ["gamma:a=1,b=3", "cpoisson:lambda=1,jump=expsign:3:1"])
+def test_integer_parameters_keep_m1_exact(spec):
+    model = parse_model(spec)
+    assert model.mean_rate == Fraction(1, 3) and isinstance(model.mean_rate, Fraction)
+    assert moments(model, 2, exact=True).moment(1) == Fraction(1, 3)
+    assert moments(model, 2).moment(1) == 1 / 3
+
+
 def test_sigma_adjust_examples():
     mv = moments(LevyModel.build(jump_part=GammaJumps(10, 20)), 2)
     adj = sigma_adjust(mv)

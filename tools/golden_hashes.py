@@ -27,6 +27,8 @@ JUMPY = "brownian:sigma=0.1+cpoisson:lambda=30,jump=expsign:5:3/5"
 GOLDEN = [
     ("coeffs-12-rational", ["coeffs", "--n", "12", "--mode", "rational", "--model", G], False),
     ("coeffs-8-float", ["coeffs", "--n", "8", "--model", G], False),
+    ("coeffs-4-rational-integer-gamma", ["coeffs", "--n", "4", "--mode", "rational", "--model", "gamma:a=1,b=3"],
+     False),
     ("coeffs-6-rational-csv",
      ["coeffs", "--n", "6", "--mode", "rational", "--format", "csv", "--model", MIXED], False),
     ("expand-8-h-rational", ["expand", "--n", "8", "--basis", "h", "--mode", "rational", "--model", MIXED], False),
@@ -46,6 +48,7 @@ GOLDEN = [
      ["verify", "--n", "5", "--t", "1", "--dt", "1e-3", "--seed", "2", "--model", "brownian:sigma=0.2"], True),
     ("convergence-4", ["convergence", "--n", "4", "--t", "1", "--dt-list", "1e-2,1e-3,1e-4", "--model", G], False),
     ("exact-verify-6", ["exact-verify", "--n", "6", "--count", "30"], False),
+    ("exact-verify-10", ["exact-verify", "--n", "10", "--count", "5"], False),
     ("exact-verify-5-float", ["exact-verify", "--n", "5", "--count", "10", "--mode", "float"], False),
     ("taylor-exact", ["taylor", "--spec", "SPEC", "--model", G, "--paths", "32"], False),
     ("taylor-grid", ["taylor", "--spec", "SPEC", "--model", G, "--paths", "8", "--dt", "1e-3"], False),
