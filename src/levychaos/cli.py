@@ -10,10 +10,10 @@ artifacts.  Output files are written to a temporary sibling and atomically
 renamed; error paths never leave partial files.  Errors, usage errors
 included, exit 1 with machine-readable JSON on stderr.
 
-LEVY_CHAOS_KMAX overrides the order cap on every order the CLI takes: an
-integer in [1, 16], default 12 (float-mode orthogonalization stays capped at
-8).  --config keys may be spelled with '-' or '_' (``dt-list`` or
-``dt_list``); a key naming a flag the command does not read fails.
+LEVY_CHAOS_KMAX overrides the order cap: an integer in [1, 16], default 12
+(float-mode orthogonalization stays capped at 8).  --config keys may be
+spelled with '-' or '_' (``dt-list`` or ``dt_list``); a key naming a flag
+the command does not read fails.
 """
 
 from __future__ import annotations
@@ -155,7 +155,7 @@ def _cmd_expand(args) -> None:
         model = parse_model(args.model)
         exp = expand(args.n, model, exact=args.mode == "rational", k_max=_k_max())
         if basis == "h":
-            ortho = orthogonalize(model, args.n, exact=args.mode == "rational", k_max=_k_max())
+            ortho = orthogonalize(model, args.n, exact=args.mode == "rational")
             exp = to_h_basis(exp, ortho)
     if args.format == "csv":
         _emit(_csv_text(expansion_csv_rows(exp)), args.out)
@@ -165,7 +165,7 @@ def _cmd_expand(args) -> None:
 
 def _cmd_ortho(args) -> None:
     model = parse_model(args.model)
-    ortho = orthogonalize(model, args.order, exact=args.mode == "rational", k_max=_k_max())
+    ortho = orthogonalize(model, args.order, exact=args.mode == "rational")
     if args.format == "csv":
         rows = [["array", "row", "entries"]]
         for name, tri in (("a", ortho.a), ("b", ortho.b)):
@@ -284,18 +284,17 @@ _FLAGS = {
     "paths": dict(type=int, default=32),
 }
 
-# name: (handler, help, required flags, optional flags, per-command defaults);
-# the flags are exactly those the handler reads.
+# name: (handler, help, required flags, optional flags); the flags are exactly
+# those the handler reads.
 _COMMANDS = {
-    "coeffs": (_cmd_coeffs, "constant and integral coefficient tables", "model n", "mode format", {}),
-    "expand": (_cmd_expand, "full expansion in a chosen basis", "n", "model mode format basis", {}),
-    "ortho": (_cmd_ortho, "orthogonalization coefficient tables", "model order", "mode format", {}),
-    "simulate": (_cmd_simulate, "sample one grid path to CSV", "model t dt", "t0 seed", {}),
-    "verify": (_cmd_verify, "grid verification; diff CSV + report JSON", "model n t dt", "t0 seed", {}),
-    "convergence": (_cmd_convergence, "max-diff table over a dt sweep", "model n t dt-list", "t0 seed", {}),
-    "exact-verify": (_cmd_exact_verify, "exact identity on random jump fixtures", "n", "mode count max-jumps seed",
-                     {"mode": "rational"}),
-    "taylor": (_cmd_taylor, "truncation study for a functional spec", "spec model", "orders paths dt seed", {}),
+    "coeffs": (_cmd_coeffs, "constant and integral coefficient tables", "model n", "mode format"),
+    "expand": (_cmd_expand, "full expansion in a chosen basis", "n", "model mode format basis"),
+    "ortho": (_cmd_ortho, "orthogonalization coefficient tables", "model order", "mode format"),
+    "simulate": (_cmd_simulate, "sample one grid path to CSV", "model t dt", "t0 seed"),
+    "verify": (_cmd_verify, "grid verification; diff CSV + report JSON", "model n t dt", "t0 seed"),
+    "convergence": (_cmd_convergence, "max-diff table over a dt sweep", "model n t dt-list", "t0 seed"),
+    "exact-verify": (_cmd_exact_verify, "exact identity on random jump fixtures", "n", "mode count max-jumps seed"),
+    "taylor": (_cmd_taylor, "truncation study for a functional spec", "spec model", "orders paths dt seed"),
 }
 
 
@@ -306,13 +305,14 @@ def _build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, help_text, required, optional, defaults) in _COMMANDS.items():
+    for name, (func, help_text, required, optional) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         for flag in required.split():
             p.add_argument(f"--{flag}", required=True, **_FLAGS[flag])
         for flag in ["out", "config", *optional.split()]:
             p.add_argument(f"--{flag}", **_FLAGS[flag])
-        p.set_defaults(func=func, **defaults)
+        p.set_defaults(func=func)
+    sub.choices["exact-verify"].set_defaults(mode="rational")
     return parser
 
 

@@ -139,12 +139,8 @@ class OrthoTriangular:
         return self.b[n - 1][k - 1]
 
 
-def orthogonalize(
-    model: LevyModel, N: int, *, exact: bool = False, k_max: int = comb.DEFAULT_ORDER_CAP
-) -> OrthoTriangular:
-    """Build the a/b arrays for a model (moments taken to order 2N <= 2 k_max)."""
-    if N > k_max:
-        raise OrderError(f"order too large: {N} > cap {k_max}")
+def orthogonalize(model: LevyModel, N: int, *, exact: bool = False) -> OrthoTriangular:
+    """Build the a/b arrays for a model (moments taken to order 2N)."""
     mv = moments(model, 2 * N, exact=exact)
     eta = eta_moments(mv, N)
     a = gram_schmidt(eta, N)

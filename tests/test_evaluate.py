@@ -390,7 +390,7 @@ class TestLevelEngineRouting:
     @pytest.mark.parametrize(
         "count,n_max,max_jumps,error",
         [(0, 3, 8, EvaluationError), (3, 0, 8, EvaluationError), (1, 13, 8, OrderError),
-         (1, 3, -1, PathError), (1, 3, 1025, PathError)],
+         (1, 3, -1, PathError), (1, 3, 10**6, PathError)],
     )
     def test_identity_suite_rejects_empty_or_out_of_range_runs(self, count, n_max, max_jumps, error):
         with pytest.raises(error):
