@@ -19,15 +19,9 @@ from fractions import Fraction
 from . import combinatorics as comb
 from .errors import BasisError, OrderError
 from .models import LevyModel, MomentVector, moments, sigma_adjust
-from .timepoly import TimePolynomial
+from .timepoly import TimePolynomial, ratio
 
 BASES = ("Y", "H", "NONCOMPENSATED", "PRM")
-
-
-def _div(value, r: int):
-    if isinstance(value, float):
-        return value / r
-    return Fraction(value, 1) / r
 
 
 def c_polys(n: int, mv: MomentVector) -> list[TimePolynomial]:
@@ -46,7 +40,7 @@ def c_polys(n: int, mv: MomentVector) -> list[TimePolynomial]:
             acc = 0
             for j in range(1, kk + 2 - r):
                 acc += math.comb(kk, j) * mv.moment(j) * rows[kk - j][r - 1]
-            row[r] = _div(acc, r)
+            row[r] = ratio(acc, r)
         rows.append(row)
     return [TimePolynomial(row) for row in rows]
 

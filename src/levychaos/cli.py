@@ -179,7 +179,7 @@ def _cmd_ortho(args) -> None:
 
 def _cmd_simulate(args) -> None:
     model = parse_model(args.model)
-    path = simulate_grid(model, args.t, args.dt, args.t0, args.seed)
+    path = simulate_grid(model, args.t, args.dt, seed=args.seed)
     _emit(_csv_text(grid_csv_rows(path)), args.out)
 
 
@@ -242,10 +242,11 @@ def _cmd_taylor(args) -> None:
     else:
         batch = model_jump_fixtures(model, grid[-1], args.paths, args.seed)
         substrate = "exact"
+    spec = functional_from_json({**spec_data, "order": max(orders, default=0)})
+    report = eval_functional(spec, batch, model, k_max=_k_max())
     for D in orders:
-        spec = functional_from_json({**spec_data, "order": D})
-        report = eval_functional(spec, batch, model, k_max=_k_max())
-        rows.append([str(D), str(args.paths), substrate, repr(report.mean_abs_error), repr(report.max_abs_error)])
+        at_D = report.truncated(D)
+        rows.append([str(D), str(args.paths), substrate, repr(at_D.mean_abs_error), repr(at_D.max_abs_error)])
     _emit(_csv_text(rows), args.out)
 
 
@@ -290,7 +291,7 @@ _COMMANDS = {
     "coeffs": (_cmd_coeffs, "constant and integral coefficient tables", "model n", "mode format"),
     "expand": (_cmd_expand, "full expansion in a chosen basis", "n", "model mode format basis"),
     "ortho": (_cmd_ortho, "orthogonalization coefficient tables", "model order", "mode format"),
-    "simulate": (_cmd_simulate, "sample one grid path to CSV", "model t dt", "t0 seed"),
+    "simulate": (_cmd_simulate, "sample one grid path to CSV", "model t dt", "seed"),
     "verify": (_cmd_verify, "grid verification; diff CSV + report JSON", "model n t dt", "t0 seed"),
     "convergence": (_cmd_convergence, "max-diff table over a dt sweep", "model n t dt-list", "t0 seed"),
     "exact-verify": (_cmd_exact_verify, "exact identity on random jump fixtures", "n", "mode count max-jumps seed"),

@@ -341,7 +341,8 @@ def verify_grid(
 def coarsen_grid(path: GridPath, factor: int, t0: float = 0.0) -> GridPath:
     """The same realization observed on a grid ``factor`` times coarser."""
     if factor < 1 or path.steps % factor:
-        raise PathError(f"cannot coarsen {path.steps} steps by {factor}")
+        step, horizon = path.dt * factor, path.dt * path.steps
+        raise PathError(f"cannot coarsen: step {step:g} does not divide the horizon {horizon:g}")
     if factor == 1:
         return path
     dX = path.dX.reshape(-1, factor).sum(axis=1)

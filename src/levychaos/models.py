@@ -20,13 +20,9 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import ModelError, MomentError
+from .timepoly import ratio
 
 Scalar = Union[int, float, Fraction]
-
-
-def _ratio(x: Scalar, y: Scalar) -> Scalar:
-    """x / y, kept exact when both are ints or Fractions."""
-    return Fraction(x) / y if isinstance(x, (int, Fraction)) and isinstance(y, (int, Fraction)) else x / y
 
 
 # --------------------------------------------------------------------------
@@ -66,7 +62,7 @@ class ExponentialSigned:
 
     def moment(self, i: int) -> Scalar:
         signed = self.sign_prob + (-1) ** i * (1 - self.sign_prob)
-        return _ratio(signed * math.factorial(i), self.rate**i)
+        return ratio(signed * math.factorial(i), self.rate**i)
 
 
 @dataclass(frozen=True)
@@ -145,7 +141,7 @@ def jump_mean_rate(jump_part: JumpPart) -> Scalar:
     if jump_part is None:
         return 0
     if isinstance(jump_part, GammaJumps):
-        return _ratio(jump_part.a, jump_part.b)
+        return ratio(jump_part.a, jump_part.b)
     if isinstance(jump_part, CompoundPoisson):
         return jump_part.intensity * jump_part.law.moment(1)
     if isinstance(jump_part, SyntheticMoments):

@@ -65,7 +65,7 @@ def _is_float_mode(mu: tuple) -> bool:
     return any(isinstance(x, float) for x in mu)
 
 
-def gram_schmidt(eta: EtaMoments, N: int, *, float_order_cap: int = FLOAT_ORDER_CAP) -> tuple:
+def gram_schmidt(eta: EtaMoments, N: int) -> tuple:
     """Monic orthogonal polynomial coefficients a_{i,j}, rows i = 1..N.
 
     Row i lists (a_{i,1}, ..., a_{i,i}) with a_{i,i} = 1; p_i(x) =
@@ -76,8 +76,8 @@ def gram_schmidt(eta: EtaMoments, N: int, *, float_order_cap: int = FLOAT_ORDER_
     if len(eta.mu) < 2 * N - 1:
         raise OrderError(f"eta moments cover order {(len(eta.mu) + 1) // 2}, need {N}")
     if float_mode:
-        if N > float_order_cap:
-            raise OrderError(f"order too large: float-mode orthogonalization capped at {float_order_cap}")
+        if N > FLOAT_ORDER_CAP:
+            raise OrderError(f"order too large: float-mode orthogonalization capped at {FLOAT_ORDER_CAP}")
         hankel = np.array([[float(eta.mu[i + j]) for j in range(N)] for i in range(N)])
         if N > 1 and np.linalg.cond(hankel) > COND_LIMIT:
             raise DegenerateMeasureError("degenerate measure: reduce order")

@@ -190,10 +190,22 @@ def functional_from_json(data: dict) -> FunctionalSpec:
 
 @dataclass(eq=False)
 class FunctionalReport:
+    """Per path: ``sums[p][d]``, the Taylor sum through total degree d = 0..D."""
+
     label: str
     order: int
-    approximations: list
+    sums: list
     directs: list
+
+    @property
+    def approximations(self) -> list:
+        return [s[self.order] for s in self.sums]
+
+    def truncated(self, order: int) -> "FunctionalReport":
+        """The same study truncated at total degree ``order`` <= D."""
+        if not 0 <= order <= self.order:
+            raise FunctionalError(f"truncation order must be in 0..{self.order}, got {order}")
+        return replace(self, order=order)
 
     @property
     def abs_errors(self) -> list:
@@ -210,17 +222,12 @@ class FunctionalReport:
 
 
 def _increments(spec: FunctionalSpec, path) -> list:
-    bounds = (0,) + spec.grid
-    out = []
-    for k in range(spec.arity):
-        if isinstance(path, JumpPath):
-            out.append(path.value(bounds[k + 1]) - path.value(bounds[k]))
-        else:
-            cum = path.cumulative()
-            i_lo = grid_index(float(bounds[k]), path.dt, "grid time")
-            i_hi = grid_index(float(bounds[k + 1]), path.dt, "grid time")
-            out.append(float(cum[i_hi] - cum[i_lo]))
-    return out
+    if isinstance(path, JumpPath):
+        xs = [path.value(tk) for tk in (0,) + spec.grid]
+    else:
+        cum = path.cumulative()
+        xs = [float(cum[grid_index(float(tk), path.dt, "grid time")]) for tk in (0,) + spec.grid]
+    return [hi - lo for lo, hi in zip(xs, xs[1:])]
 
 
 def model_jump_fixtures(
@@ -284,6 +291,7 @@ def eval_functional(
     ``paths`` is a single path or a batch; jump paths evaluate exactly, grid
     paths need every grid time aligned to the step.  A given ``model``
     replaces the model a grid path carries when its expansions are built.
+    Terms run by total degree, so the report holds every order 0..D.
     """
     if spec.order > k_max:
         raise FunctionalError(f"order too large: D={spec.order} > cap {k_max}")
@@ -292,20 +300,23 @@ def eval_functional(
         raise FunctionalError("empty path batch")
     terms = taylor_terms(spec)
     top = max((e for term, _ in terms for e in term), default=0)
+    by_degree = [[(e, c) for e, c in terms if sum(e) == d] for d in range(spec.order + 1)]
     intervals = list(zip((0,) + spec.grid, spec.grid))
-    approxs, directs = [], []
+    sums, directs = [], []
     for path in batch:
         if model is not None and isinstance(path, GridPath) and path.model is not model:
             path = replace(path, model=model)
         # powers[k][e]: (X_{t_k} - X_{t_{k-1}})^e, all e <= top from one level-sum pass
         levels = [_power_levels(path, top, lo, hi, k_max=k_max) for lo, hi in intervals]
         powers = [[_end(power(e)[0]) for e in range(top + 1)] for power in levels]
-        acc = 0
-        for e, c in terms:
-            term = c
-            for k, ek in enumerate(e):
-                term = term * powers[k][ek]
-            acc = acc + term
-        approxs.append(acc)
+        acc, path_sums = 0, []
+        for degree_terms in by_degree:
+            for e, c in degree_terms:
+                term = c
+                for k, ek in enumerate(e):
+                    term = term * powers[k][ek]
+                acc = acc + term
+            path_sums.append(acc)
+        sums.append(path_sums)
         directs.append(spec.value(_increments(spec, path)))
-    return FunctionalReport(spec.label, spec.order, approxs, directs)
+    return FunctionalReport(spec.label, spec.order, sums, directs)

@@ -13,6 +13,11 @@ from fractions import Fraction
 from typing import Sequence
 
 
+def ratio(x, y):
+    """x / y, kept exact when both are ints or Fractions."""
+    return Fraction(x) / y if isinstance(x, (int, Fraction)) and isinstance(y, (int, Fraction)) else x / y
+
+
 def _trim(coeffs: tuple) -> tuple:
     n = len(coeffs)
     while n > 0 and coeffs[n - 1] == 0:
@@ -91,18 +96,8 @@ class TimePolynomial:
         return TimePolynomial(tuple(s * c for c in self.coeffs))
 
     def antiderivative(self) -> "TimePolynomial":
-        """Antiderivative with zero constant term.
-
-        Exact coefficients stay exact: integer division by (i+1) goes
-        through Fraction.
-        """
-        out = [0]
-        for i, c in enumerate(self.coeffs):
-            if isinstance(c, float):
-                out.append(c / (i + 1))
-            else:
-                out.append(Fraction(c, 1) / (i + 1))
-        return TimePolynomial(out)
+        """Antiderivative with zero constant term; exact coefficients stay exact."""
+        return TimePolynomial([0] + [ratio(c, i + 1) for i, c in enumerate(self.coeffs)])
 
     # -- conversions ----------------------------------------------------
     def to_float(self) -> "TimePolynomial":

@@ -186,6 +186,12 @@ class TestErrorHygiene:
         leftovers = {p.name for p in tmp_path.iterdir()} - {"spec.json"}
         assert not leftovers  # no temp leftovers either
 
+    def test_coarsen_error_names_the_step_not_the_factor(self, capsys):
+        assert cli.main(CONVERGENCE + ["1e-2,1e300"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "paths.invalid" and "coarsen" in err["message"]
+        assert len(err["message"]) < 200
+
     def test_missing_required(self):
         res = run_cli(["coeffs", "--model", "gamma:a=10,b=20"])
         assert res.returncode == 1
@@ -223,6 +229,7 @@ class TestFlagTable:
             P(EXACT_VERIFY + ["--model", GAMMA], id="exact-verify-model"),
             P(TAYLOR + ["--t0", "0"], id="taylor-t0"),
             P(TAYLOR + ["--t", "5"], id="taylor-t"),
+            P(SIMULATE + ["--t0", "0.05"], id="simulate-t0"),
         ],
     )
     def test_flag_the_command_does_not_read_is_rejected(self, tmp_path, capsys, argv):
@@ -313,6 +320,29 @@ class TestTaylorCommand:
         assert rows[0] == ["order", "paths", "substrate", "mean_abs_error", "max_abs_error"]
         assert float(rows[1][3]) > float(rows[2][3])
         assert rows[1][2] == "exact"
+
+    def _rows(self, tmp_path, orders):
+        (tmp_path / "spec.json").write_text(json.dumps(EXP_SPEC))
+        out = tmp_path / "taylor.csv"
+        argv = TAYLOR + ["--spec", str(tmp_path / "spec.json"), "--orders", orders, "--out", str(out)]
+        assert cli.main(argv) == 0
+        return out.read_text().splitlines()
+
+    def test_unsorted_repeated_orders_keep_one_row_each(self, tmp_path):
+        rows = self._rows(tmp_path, "8,2,0,8")
+        assert [r.split(",")[0] for r in rows[1:]] == ["8", "2", "0", "8"]
+        assert rows[1] == rows[4]
+        assert rows[2] == self._rows(tmp_path, "2")[1]
+
+    def test_empty_orders_write_only_the_header(self, tmp_path):
+        assert self._rows(tmp_path, "") == ["order,paths,substrate,mean_abs_error,max_abs_error"]
+
+    @pytest.mark.parametrize("orders", ["4,-1", "4,13"])
+    def test_order_outside_the_study_fails(self, tmp_path, capsys, orders):
+        assert main_with_spec(tmp_path, TAYLOR + ["--orders", orders]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "taylor.invalid"
+        assert not (tmp_path / "x.out").exists()
 
 
 class TestConfigFile:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from levychaos import cli, taylor
 from levychaos.chaos import expand_from_moments
 from levychaos.errors import FunctionalError, PathError
 from levychaos.evaluate import reconstruct
@@ -109,6 +110,62 @@ class TestEvalFunctional:
         rep = eval_functional(exp_functional((0.5,), 4), batch)
         assert len(rep.approximations) == 4
         assert rep.max_abs_error >= rep.mean_abs_error > 0
+
+
+ONE_PASS_SPECS = [
+    pytest.param({"kind": "exp", "grid": [0.25, 0.5], "weights": [1.0, -0.5]}, id="exp"),
+    pytest.param(
+        {"kind": "poly", "grid": [0.25, 0.5],
+         "terms": [{"exponents": [0, 0], "coeff": 2}, {"exponents": [2, 1], "coeff": 0.5},
+                   {"exponents": [0, 3], "coeff": -1.5}, {"exponents": [1, 0], "coeff": 3}]},
+        id="poly",
+    ),
+    pytest.param({"kind": "forward", "grid": [0.25, 0.5], "s0": 100, "rate": 0.05, "maturity": 1.0}, id="forward"),
+]
+
+
+class TestOnePass:
+    """One evaluation at D_max, truncated, equals a separate evaluation at each D."""
+
+    D_MAX = 6
+
+    @pytest.mark.parametrize("substrate", ["exact", "grid"])
+    @pytest.mark.parametrize("data", ONE_PASS_SPECS)
+    def test_truncated_equals_separate_evaluation(self, gamma_model, data, substrate):
+        if substrate == "exact":
+            batch = model_jump_fixtures(gamma_model, 0.5, 3, seed=4)
+        else:
+            batch = [simulate_grid(gamma_model, 0.5, 1e-2, 0.0, seed=4, path_index=i) for i in range(3)]
+        full = eval_functional(functional_from_json({**data, "order": self.D_MAX}), batch, gamma_model)
+        for D in range(self.D_MAX + 1):
+            alone = eval_functional(functional_from_json({**data, "order": D}), batch, gamma_model)
+            cut = full.truncated(D)
+            assert cut.order == D
+            assert cut.approximations == alone.approximations
+            assert cut.directs == alone.directs
+            assert (cut.mean_abs_error, cut.max_abs_error) == (alone.mean_abs_error, alone.max_abs_error)
+
+    @pytest.mark.parametrize("order", [-1, D_MAX + 1])
+    def test_truncation_outside_the_study_rejected(self, gamma_model, order):
+        batch = model_jump_fixtures(gamma_model, 0.5, 1, seed=4)
+        rep = eval_functional(exp_functional((0.5,), self.D_MAX), batch)
+        with pytest.raises(FunctionalError, match="truncation order"):
+            rep.truncated(order)
+
+    def test_default_cli_study_builds_levels_once_per_path_and_interval(self, tmp_path, monkeypatch):
+        builds = []
+
+        def counting(*args, **kwargs):
+            builds.append(args[1])
+            return power_levels(*args, **kwargs)
+
+        power_levels = taylor._power_levels
+        monkeypatch.setattr(taylor, "_power_levels", counting)
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"kind": "exp", "grid": [0.25, 0.5]}')
+        argv = ["taylor", "--spec", str(spec), "--model", "gamma:a=10,b=20", "--paths", "2"]
+        assert cli.main(argv + ["--out", str(tmp_path / "t.csv")]) == 0
+        assert builds == [8] * 4  # 2 paths x 2 intervals, each at the top order of 2,4,6,8
 
 
 class TestValidation:

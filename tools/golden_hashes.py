@@ -52,6 +52,7 @@ GOLDEN = [
     ("exact-verify-5-float", ["exact-verify", "--n", "5", "--count", "10", "--mode", "float"], False),
     ("taylor-exact", ["taylor", "--spec", "SPEC", "--model", G, "--paths", "32"], False),
     ("taylor-grid", ["taylor", "--spec", "SPEC", "--model", G, "--paths", "8", "--dt", "1e-3"], False),
+    ("taylor-exact-orders", ["taylor", "--spec", "SPEC", "--model", G, "--orders", "8,2,0,8", "--paths", "4"], False),
 ]
 SPEC = {"kind": "exp", "order": 2, "grid": [0.25, 0.5]}
 
