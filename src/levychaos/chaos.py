@@ -125,39 +125,42 @@ def terms_equal(a: Expansion, b: Expansion) -> bool:
     return all(a.term(t) == b.term(t) for t in keys) and a.constant == b.constant
 
 
-def expand_from_moments(
-    n: int,
-    mv: MomentVector,
-    *,
-    k_max: int = comb.DEFAULT_ORDER_CAP,
-) -> Expansion:
-    """Y-basis expansion of order n from an already sigma-adjusted vector."""
+def _per_multiset(thetas, coeff) -> dict:
+    """{theta: coeff(sorted theta)}: both coefficient rules read theta only
+    through its multiset, so every permutation shares one immutable polynomial."""
+    keys = {theta: tuple(sorted(theta)) for theta in thetas}
+    shared = {key: coeff(key) for key in dict.fromkeys(keys.values())}
+    return {theta: shared[key] for theta, key in keys.items()}
+
+
+def _tables(n: int, mv: MomentVector, k_max: int) -> tuple[list[TimePolynomial], Expansion]:
     if not mv.adjusted:
         raise BasisError("expansion requires a sigma-adjusted moment vector")
-    thetas = comb.index_set(n, k_max=k_max)
     c = c_polys(n, mv)
-    terms = {theta: _pi(theta, n - sum(theta), c) for theta in thetas}
-    return Expansion(n, "Y", terms, c[n], mv, sigma_adjusted=True)
+    terms = _per_multiset(comb.index_set(n, k_max=k_max), lambda key: _pi(key, n - sum(key), c))
+    return c, Expansion(n, "Y", terms, c[n], mv, sigma_adjusted=True)
 
 
-def expand(
-    n: int,
-    model: LevyModel,
-    *,
-    exact: bool = False,
-    k_max: int = comb.DEFAULT_ORDER_CAP,
-) -> Expansion:
-    """Y-basis expansion of (X_{t+t0} - X_{t0})^n for the given model.
+def expand_from_moments(n: int, mv: MomentVector, *, k_max: int = comb.DEFAULT_ORDER_CAP) -> Expansion:
+    """Y-basis expansion of order n from an already sigma-adjusted vector."""
+    return _tables(n, mv, k_max)[1]
 
-    The Brownian variance is folded into m2 exactly once here; with sigma2 = 0
-    this is the pure-jump formula unchanged.
+
+def coeff_tables(n: int, model: LevyModel, *, exact: bool = False, k_max: int = comb.DEFAULT_ORDER_CAP) -> tuple:
+    """(C^(0)..C^(n), the Y-basis expansion of order n on that C table).
+
+    The Brownian variance is folded into m2 exactly once, here.
     """
     if n < 1:
         raise OrderError("expansion order must be >= 1")
     if n > k_max:  # before the moments, which a huge n would take long to build
         raise OrderError(f"order too large: {n} > cap {k_max}")
-    mv = sigma_adjust(moments(model, max(n, 2), exact=exact))
-    return expand_from_moments(n, mv, k_max=k_max)
+    return _tables(n, sigma_adjust(moments(model, max(n, 2), exact=exact)), k_max)
+
+
+def expand(n: int, model: LevyModel, *, exact: bool = False, k_max: int = comb.DEFAULT_ORDER_CAP) -> Expansion:
+    """Y-basis expansion of (X_{t+t0} - X_{t0})^n for the given model."""
+    return coeff_tables(n, model, exact=exact, k_max=k_max)[1]
 
 
 def expectation(n: int, model: LevyModel, *, exact: bool = False) -> TimePolynomial:
@@ -178,10 +181,10 @@ def jamshidian_expand(n: int, *, k_max: int = comb.DEFAULT_ORDER_CAP) -> Expansi
     """
     if n < 1:
         raise OrderError("expansion order must be >= 1")
-    terms = {}
-    for theta in comb.index_set(n, k_max=k_max):
-        if sum(theta) == n:
-            terms[theta] = TimePolynomial.constant(comb.multinomial(theta))
+    if n > k_max:
+        raise OrderError(f"order too large: {n} > cap {k_max}")
+    thetas = [theta for length in range(1, n + 1) for theta in comb.exact_sum_compositions(n, length)]
+    terms = _per_multiset(thetas, lambda key: TimePolynomial.constant(comb.multinomial(key)))
     zero_mv = MomentVector((0,) * max(n, 2), 0, adjusted=True)
     return Expansion(n, "NONCOMPENSATED", terms, TimePolynomial.zero(), zero_mv, sigma_adjusted=True)
 

@@ -21,16 +21,6 @@ DEFAULT_ORDER_CAP = 12
 IndexTuple = tuple[int, ...]
 
 
-def _compositions_of(total: int) -> Iterator[IndexTuple]:
-    """All compositions of ``total`` into positive parts, lexicographic."""
-    if total == 0:
-        yield ()
-        return
-    for first in range(1, total + 1):
-        for rest in _compositions_of(total - first):
-            yield (first,) + rest
-
-
 def index_set(k: int, *, k_max: int = DEFAULT_ORDER_CAP) -> list[IndexTuple]:
     """All tuples of positive integers with sum <= k.
 
@@ -40,11 +30,15 @@ def index_set(k: int, *, k_max: int = DEFAULT_ORDER_CAP) -> list[IndexTuple]:
         raise OrderError("order must be >= 1")
     if k > k_max:
         raise OrderError(f"order too large: {k} > cap {k_max}")
-    out: list[IndexTuple] = []
+    # by_length[s][p]: the length-p compositions of s, lexicographic.  A first
+    # part followed by the length-(p-1) compositions of the rest keeps that order.
+    by_length = [[[()]]]
     for s in range(1, k + 1):
-        group = sorted(_compositions_of(s), key=lambda tup: (len(tup), tup))
-        out.extend(group)
-    return out
+        by_length.append([[]] + [
+            [(first,) + rest for first in range(1, s - p + 2) for rest in by_length[s - first][p - 1]]
+            for p in range(1, s + 1)
+        ])
+    return [t for s in range(1, k + 1) for group in by_length[s] for t in group]
 
 
 def exact_sum_compositions(n: int, p: int) -> list[IndexTuple]:

@@ -18,9 +18,9 @@ from levychaos.chaos import (
     prm_integrands,
     terms_equal,
 )
-from levychaos.combinatorics import index_set
+from levychaos.combinatorics import index_set, multinomial
 from levychaos.errors import BasisError, MomentError, OrderError
-from levychaos.models import LevyModel, MomentVector, SyntheticMoments, moments, sigma_adjust
+from levychaos.models import LevyModel, MomentVector, SyntheticMoments, moments, parse_model, sigma_adjust
 from levychaos.paths import rng_for, sample_terminal_increments
 from levychaos.timepoly import TimePolynomial
 
@@ -142,6 +142,46 @@ class TestExpand:
         raw = moments(LevyModel(1, 0), 3)
         with pytest.raises(BasisError, match="sigma-adjusted"):
             expand_from_moments(2, raw)
+
+
+class TestPiPerMultiset:
+    """The table shares one Pi per multiset; pi_coeff, per tuple, is the oracle."""
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["rational", "float"])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_term_equals_pi_coeff(self, n, exact):
+        mv = sigma_adjust(moments(parse_model("brownian:sigma=1/10+gamma:a=7/3,b=11/5"), max(n, 2), exact=exact))
+        exp = expand_from_moments(n, mv)
+        assert list(exp.terms) == index_set(n)
+        for theta, poly in exp.terms.items():
+            oracle = pi_coeff(theta, n, mv)
+            assert poly == oracle, theta
+            assert list(map(type, poly.coeffs)) == list(map(type, oracle.coeffs))  # serialized alike
+
+    def test_random_rational_moments(self):
+        rng = np.random.default_rng(11)
+        for n in range(1, 9):
+            mv = random_rational_mv(rng, max(n, 2))
+            exp = expand_from_moments(n, mv)
+            assert all(poly == pi_coeff(theta, n, mv) for theta, poly in exp.terms.items())
+
+    def test_permutations_share_one_polynomial(self, gamma_model):
+        exp = expand(12, gamma_model)
+        assert exp.terms[(1, 2, 3)] is exp.terms[(3, 1, 2)] is exp.terms[(2, 3, 1)]
+        assert exp.terms[(1, 2)] is not exp.terms[(1, 1)]
+        # one polynomial per partition of 1..12: p(1) + ... + p(12) = 271
+        assert len({id(p) for p in exp.terms.values()}) == 271
+
+    def test_jamshidian_is_the_exact_sum_slice_of_the_index_set(self):
+        for n in range(1, 11):
+            exp = jamshidian_expand(n)
+            assert list(exp.terms) == [t for t in index_set(n) if sum(t) == n]
+            assert all(p.coeffs == (multinomial(t),) for t, p in exp.terms.items())
+
+    def test_jamshidian_keeps_the_cap(self):
+        with pytest.raises(OrderError, match="order too large: 13 > cap 12"):
+            jamshidian_expand(13)
+        assert len(jamshidian_expand(13, k_max=13).terms) == 2**12
 
 
 class TestExpectation:

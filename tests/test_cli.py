@@ -305,6 +305,29 @@ class TestOrtho:
         res = run_cli(["ortho", "--model", "gamma:a=10,b=20", "--order", "9"])
         assert res.returncode == 1
 
+    @pytest.mark.parametrize("order", [33, 1000000])
+    def test_order_above_the_limit_fails_before_any_moment(self, order, tmp_path, monkeypatch):
+        def no_moments(*args, **kwargs):
+            raise AssertionError("moments built for an order above the limit")
+
+        monkeypatch.setattr(cli, "orthogonalize", no_moments)
+        out = tmp_path / "ortho.json"
+        argv = ["ortho", "--model", GAMMA, "--order", str(order), "--mode", "rational", "--out", str(out)]
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            assert cli.main(argv) == 1
+        err = json.loads(stderr.getvalue())
+        assert err["error"] == "combinatorics.order"
+        assert f"{order} > ortho limit {cli._ORTHO_ORDER_LIMIT}" in err["message"]
+        assert not out.exists()
+
+    def test_rational_order_at_the_limit_runs(self, tmp_path):
+        out = tmp_path / "ortho.json"
+        argv = ["ortho", "--model", "brownian:sigma=1+gamma:a=1,b=1", "--order", str(cli._ORTHO_ORDER_LIMIT),
+                "--mode", "rational", "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert json.loads(out.read_text())["order"] == cli._ORTHO_ORDER_LIMIT
+
 
 class TestTaylorCommand:
     def test_truncation_study(self, tmp_path):
@@ -381,9 +404,7 @@ class TestConfigFile:
 
 # Values drawn for each flag: valid ones, and NaN, infinite, negative, huge and
 # non-numeric ones.  --count and --paths stay small: their cost is linear in the
-# value, so a huge one is a long valid run, not a bad input.  --order draws no
-# huge value for the same reason: ortho has no order cap, and a rational
-# --order 1000000 builds two million moments.
+# value, so a huge one is a long valid run, not a bad input.
 FLOATS = ["0", "0.05", "0.5", "1", "-1", "nan", "inf", "-inf", "1e300", "1e-300", "x"]
 INTS = ["0", "1", "2", "3", "-1", "1000000", "1e300", "nan", "x"]
 SMALL = ["0", "1", "2", "-1", "nan", "x"]
@@ -393,7 +414,7 @@ FUZZ_VALUES = {
     "--mode": ["float", "rational", "decimal"],
     "--format": ["json", "csv", "xml"],
     "--basis": ["y", "h", "jamshidian", "q"],
-    "--n": INTS, "--order": [v for v in INTS if v != "1000000"], "--max-jumps": INTS,
+    "--n": INTS, "--order": INTS, "--max-jumps": INTS,
     "--seed": INTS + ["99999999999999999999"],
     "--count": SMALL, "--paths": SMALL,
     "--t0": FLOATS, "--t": FLOATS, "--dt": FLOATS,

@@ -1,9 +1,9 @@
-"""Rational-mode CLI artifacts pinned byte for byte.
+"""CLI coefficient artifacts pinned byte for byte.
 
 Rational artifacts are exact, so their sha256 is the same on every machine;
-a refactor of the coefficient engine or of the exact level sums must leave
-every one unchanged.
-``tools/golden_hashes.py`` hashes the full artifact list, float ones
+``coeffs-12-float`` needs only correctly rounded float operations, so it is
+too.  A refactor of the coefficient engine or of the exact level sums must
+leave every one unchanged.  ``tools/golden_hashes.py`` hashes the full artifact list, float ones
 included, for comparing two checkouts on one machine.
 """
 
@@ -14,6 +14,7 @@ import pytest
 from levychaos.cli import main
 
 G = "gamma:a=10,b=20"
+MIXED = "brownian:sigma=1/10+gamma:a=3,b=7"
 
 GOLDEN = {
     "coeffs-json": (
@@ -23,6 +24,14 @@ GOLDEN = {
     "coeffs-csv": (
         ["coeffs", "--n", "8", "--mode", "rational", "--format", "csv", "--model", G],
         "e71074638767224ac34c6b7cf0ad5f17a3033cfa1eef38d77d3e65c5731f7226",
+    ),
+    "coeffs-12-float": (
+        ["coeffs", "--n", "12", "--model", G],
+        "fe6466580a5e2725035a4a3b98cb390dd88ca754494cf2c7d8c8367623cc79c2",
+    ),
+    "expand-10-y-rational-csv": (
+        ["expand", "--n", "10", "--mode", "rational", "--format", "csv", "--model", MIXED],
+        "ec5e1ee1787710e368643246803057bd843e1339b08e42196a5908bd5f2e3969",
     ),
     "expand-h": (
         ["expand", "--n", "6", "--basis", "h", "--mode", "rational", "--model", G],

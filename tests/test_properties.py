@@ -1,5 +1,6 @@
 """Property-based checks of the core invariants."""
 
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -7,7 +8,14 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from levychaos.chaos import c_poly_closed, c_poly_recursive, expand, expand_from_moments, jamshidian_expand
+from levychaos.chaos import (
+    c_poly_closed,
+    c_poly_recursive,
+    expand,
+    expand_from_moments,
+    expectation,
+    jamshidian_expand,
+)
 from levychaos.combinatorics import index_set
 from levychaos.errors import DegenerateMeasureError
 from levychaos.evaluate import _power_levels, reconstruct
@@ -42,6 +50,25 @@ def test_index_set_members_are_valid(k):
     assert len(set(tuples)) == len(tuples) == 2**k - 1
     for t in tuples:
         assert t and all(p >= 1 for p in t) and sum(t) <= k
+
+
+def _index_set_by_sorting(k):
+    """The enumeration index_set replaced: each sum's compositions, recursively, sorted by (length, tuple)."""
+
+    def compositions(total):
+        if total == 0:
+            yield ()
+            return
+        for first in range(1, total + 1):
+            for rest in compositions(total - first):
+                yield (first,) + rest
+
+    return [t for s in range(1, k + 1) for t in sorted(compositions(s), key=lambda tup: (len(tup), tup))]
+
+
+def test_index_set_matches_the_sort_based_enumeration():
+    for k in range(1, 13):
+        assert index_set(k) == _index_set_by_sorting(k)
 
 
 @given(st.lists(rationals, min_size=7, max_size=7))
@@ -140,3 +167,34 @@ def test_level_engine_matches_per_tuple_chains_on_grid(seed, t0_step, n):
     value, norms = _power_levels(path, n, t0)(n)
     oracle = reconstruct(expand(n, model), path, t0).values
     assert np.max(np.abs(value - oracle)) <= 1e-12 * max(1.0, *norms.values())
+
+
+# --------------------------------------------------------------------------
+# path-free isometry of the Y-basis expansion
+# --------------------------------------------------------------------------
+
+
+@settings(max_examples=25, deadline=None)
+@given(model_specs(), st.integers(min_value=1, max_value=6))
+def test_y_expansion_isometry(spec, n):
+    """E[(X_t - X_0)^2n] = C^(n)(t)^2
+    + sum_k t^k/k! sum_{|theta|=|theta'|=k} Pi_theta Pi_theta' prod_j m_{theta_j+theta'_j}.
+
+    Iterated integrals with deterministic integrands over different lengths
+    are orthogonal, and d<Y^(i), Y^(j)> = m_{i+j} dt with the sigma-adjusted
+    moments; the left side comes from the C recursion at order 2n.
+    """
+    model = parse_model(spec)
+    exp = expand(n, model, exact=True)
+    m = sigma_adjust(moments(model, 2 * n, exact=True)).moment
+    by_length = {}
+    for theta, poly in exp.terms.items():
+        by_length.setdefault(len(theta), []).append((theta, poly))
+    second_moment = exp.constant * exp.constant
+    for k, terms in by_length.items():
+        acc = TimePolynomial.zero()
+        for theta, p in terms:
+            for theta2, q in terms:
+                acc = acc + (p * q).scale(math.prod(m(i + j) for i, j in zip(theta, theta2)))
+        second_moment = second_moment + acc * TimePolynomial.monomial(k, Fraction(1, math.factorial(k)))
+    assert second_moment == expectation(2 * n, model, exact=True)

@@ -27,11 +27,14 @@ JUMPY = "brownian:sigma=0.1+cpoisson:lambda=30,jump=expsign:5:3/5"
 GOLDEN = [
     ("coeffs-12-rational", ["coeffs", "--n", "12", "--mode", "rational", "--model", G], False),
     ("coeffs-8-float", ["coeffs", "--n", "8", "--model", G], False),
+    ("coeffs-12-float", ["coeffs", "--n", "12", "--model", G], False),
     ("coeffs-4-rational-integer-gamma", ["coeffs", "--n", "4", "--mode", "rational", "--model", "gamma:a=1,b=3"],
      False),
     ("coeffs-6-rational-csv",
      ["coeffs", "--n", "6", "--mode", "rational", "--format", "csv", "--model", MIXED], False),
     ("expand-8-h-rational", ["expand", "--n", "8", "--basis", "h", "--mode", "rational", "--model", MIXED], False),
+    ("expand-10-y-rational-csv",
+     ["expand", "--n", "10", "--mode", "rational", "--format", "csv", "--model", MIXED], False),
     ("expand-6-jamshidian", ["expand", "--n", "6", "--basis", "jamshidian"], False),
     ("expand-6-cpoisson-csv",
      ["expand", "--n", "6", "--model", "cpoisson:lambda=3,jump=point:-1:1/4:2", "--format", "csv"], False),
