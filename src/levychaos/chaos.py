@@ -97,7 +97,6 @@ class Expansion:
     terms: dict
     constant: TimePolynomial
     moments: MomentVector
-    sigma_adjusted: bool
     ortho: object = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -114,7 +113,6 @@ class Expansion:
             {t: p.to_float() for t, p in self.terms.items()},
             self.constant.to_float(),
             self.moments.as_float(),
-            self.sigma_adjusted,
             self.ortho,
         )
 
@@ -138,7 +136,7 @@ def _tables(n: int, mv: MomentVector, k_max: int) -> tuple[list[TimePolynomial],
         raise BasisError("expansion requires a sigma-adjusted moment vector")
     c = c_polys(n, mv)
     terms = _per_multiset(comb.index_set(n, k_max=k_max), lambda key: _pi(key, n - sum(key), c))
-    return c, Expansion(n, "Y", terms, c[n], mv, sigma_adjusted=True)
+    return c, Expansion(n, "Y", terms, c[n], mv)
 
 
 def expand_from_moments(n: int, mv: MomentVector, *, k_max: int = comb.DEFAULT_ORDER_CAP) -> Expansion:
@@ -186,7 +184,7 @@ def jamshidian_expand(n: int, *, k_max: int = comb.DEFAULT_ORDER_CAP) -> Expansi
     thetas = [theta for length in range(1, n + 1) for theta in comb.exact_sum_compositions(n, length)]
     terms = _per_multiset(thetas, lambda key: TimePolynomial.constant(comb.multinomial(key)))
     zero_mv = MomentVector((0,) * max(n, 2), 0, adjusted=True)
-    return Expansion(n, "NONCOMPENSATED", terms, TimePolynomial.zero(), zero_mv, sigma_adjusted=True)
+    return Expansion(n, "NONCOMPENSATED", terms, TimePolynomial.zero(), zero_mv)
 
 
 @dataclass(frozen=True)
@@ -251,7 +249,7 @@ def expansion_to_json_dict(exp: Expansion) -> dict:
     return {
         "order": exp.order,
         "basis": exp.basis,
-        "sigma_adjusted": exp.sigma_adjusted,
+        "sigma_adjusted": exp.moments.adjusted,
         "moments": [scalar_to_json(x) for x in exp.moments.m],
         "sigma2": scalar_to_json(exp.moments.sigma2),
         "constant": [scalar_to_json(c) for c in exp.constant.coeffs],
@@ -278,7 +276,6 @@ def expansion_from_json_dict(data: dict) -> Expansion:
         terms,
         TimePolynomial([scalar_from_json(c) for c in data["constant"]]),
         mv,
-        data["sigma_adjusted"],
     )
 
 

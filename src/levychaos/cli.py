@@ -237,22 +237,22 @@ def _cmd_exact_verify(args) -> None:
 def _cmd_taylor(args) -> None:
     spec_data = _read_json_object(args.spec, "--spec")
     grid = spec_data.get("grid")
-    if not (isinstance(grid, list) and grid and all(isinstance(x, (int, float)) and math.isfinite(x) for x in grid)):
+    # type(x), not isinstance: JSON true and false are ints to isinstance
+    if not (isinstance(grid, list) and grid and all(type(x) in (int, float) and math.isfinite(x) for x in grid)):
         raise ConfigError("--spec needs a nonempty 'grid' list of finite numbers")
     model = parse_model(args.model)
     orders = _number_list(args.orders, int, "--orders")
+    top, k_max = max(orders, default=0), _k_max()
     rows = [["order", "paths", "substrate", "mean_abs_error", "max_abs_error"]]
     if args.dt is not None:
-        batch = [
-            simulate_grid(model, grid[-1], args.dt, 0.0, args.seed, i)
-            for i in range(args.paths)
-        ]
+        batch = [simulate_grid(model, grid[-1], args.dt, args.seed, i) for i in range(args.paths)]
         substrate = "grid"
     else:
-        batch = model_jump_fixtures(model, grid[-1], args.paths, args.seed)
+        # the fixtures declare moments through the top order; eval_functional refuses one above k_max
+        batch = model_jump_fixtures(model, grid[-1], args.paths, args.seed, moment_order=min(top, k_max))
         substrate = "exact"
-    spec = functional_from_json({**spec_data, "order": max(orders, default=0)})
-    report = eval_functional(spec, batch, model, k_max=_k_max())
+    spec = functional_from_json({**spec_data, "order": top})
+    report = eval_functional(spec, batch, k_max=k_max)
     for D in orders:
         at_D = report.truncated(D)
         rows.append([str(D), str(args.paths), substrate, repr(at_D.mean_abs_error), repr(at_D.max_abs_error)])

@@ -50,16 +50,18 @@ def exact_sum_compositions(n: int, p: int) -> list[IndexTuple]:
         raise OrderError("n and p must be >= 1")
     if p > n:
         return []
-
-    def gen(total: int, parts: int) -> Iterator[IndexTuple]:
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(1, total - parts + 2):
-            for rest in gen(total - first, parts - 1):
-                yield (first,) + rest
-
-    return list(gen(n, p))
+    # Lexicographic successor, without recursion (p may be in the thousands):
+    # the part before the last part above 1 (past the first) grows by one,
+    # and the parts after it restart at (1, ..., 1, rest).
+    cur = [1] * (p - 1) + [n - p + 1]
+    out = [tuple(cur)]
+    while True:
+        j = next((k for k in range(p - 1, 0, -1) if cur[k] > 1), 0)
+        if j == 0:
+            return out
+        cur[j - 1] += 1
+        cur[j:] = [1] * (p - j - 1) + [cur[j] - 1]
+        out.append(tuple(cur))
 
 
 @dataclass(frozen=True)

@@ -65,8 +65,8 @@ def eval_grid(path: GridPath, theta, mv_adjusted, t0: float) -> IteratedIntegral
     if not theta:
         raise EvaluationError("theta must be nonempty")
     i0 = grid_index(t0, path.dt)
-    if i0 >= path.steps:
-        raise PathError(f"t0={t0} beyond the grid")
+    if not 0 <= i0 < path.steps:  # a negative index would slice from the end
+        raise PathError(f"t0={t0} outside the grid")
     M = path.steps - i0
     cur = np.ones(M + 1)
     for ip in theta:
@@ -313,10 +313,9 @@ def verify_on_grid_path(
     k_max: int = comb.DEFAULT_ORDER_CAP,
 ) -> VerificationReport:
     """Compare the direct power series with its reconstruction on one path."""
-    i0 = grid_index(t0, path.dt)
-    x_rel = np.concatenate(([0.0], np.cumsum(path.dX[i0:])))
+    power = _power_levels(path, n, t0, path.horizon, k_max=k_max)  # validates the window before dX is sliced
+    x_rel = np.concatenate(([0.0], np.cumsum(path.dX[grid_index(t0, path.dt):])))
     provenance = f"{model_label(path.model)} dt={path.dt} seed={path.seed}/{path.path_index}"
-    power = _power_levels(path, n, t0, path.horizon, k_max=k_max)
     return _verification(power, path, n, t0, path.horizon, x_rel**n, provenance)
 
 
@@ -327,18 +326,19 @@ def verify_grid(
     t: float,
     dt: float,
     seed: int = 0,
-    path_index: int = 0,
     *,
     k_max: int = comb.DEFAULT_ORDER_CAP,
 ) -> VerificationReport:
     """Simulate one path and compare the direct power with its reconstruction."""
     if t0 >= t:
         raise EvaluationError(f"t0 >= t: [{t0}, {t}] is empty")
-    path = simulate_grid(model, t, dt, t0, seed, path_index)
+    if dt > 0 and grid_index(t0, dt) < 0:  # fail before the path is drawn; simulate_grid checks dt
+        raise PathError(f"t0={t0} outside the grid [0, {t})")
+    path = simulate_grid(model, t, dt, seed)
     return verify_on_grid_path(path, n, t0, k_max=k_max)
 
 
-def coarsen_grid(path: GridPath, factor: int, t0: float = 0.0) -> GridPath:
+def coarsen_grid(path: GridPath, factor: int) -> GridPath:
     """The same realization observed on a grid ``factor`` times coarser."""
     if factor < 1 or path.steps % factor:
         step, horizon = path.dt * factor, path.dt * path.steps
@@ -346,7 +346,7 @@ def coarsen_grid(path: GridPath, factor: int, t0: float = 0.0) -> GridPath:
     if factor == 1:
         return path
     dX = path.dX.reshape(-1, factor).sum(axis=1)
-    return GridPath(t0, path.dt * factor, path.steps // factor, dX, path.seed, path.path_index, path.model)
+    return GridPath(path.dt * factor, path.steps // factor, dX, path.seed, path.path_index, path.model)
 
 
 def verify_grid_sweep(
@@ -369,15 +369,14 @@ def verify_grid_sweep(
     if not all(math.isfinite(x) for x in (t0, *dts)):
         raise PathError(f"non-finite t0 or step in the sweep: t0={t0}, dts={dts}")
     dt_fine = min(dts)
-    fine = simulate_grid(model, t, dt_fine, 0.0, seed)
+    fine = simulate_grid(model, t, dt_fine, seed)
     reports = []
     for dt in dts:
         factor = round(dt / dt_fine)
         if abs(factor * dt_fine - dt) > 1e-9 * dt:
             raise PathError(f"dt {dt} is not a multiple of the finest step {dt_fine}")
         t0_dt = round(t0 / dt) * dt
-        path = coarsen_grid(fine, factor, t0_dt)
-        reports.append(verify_on_grid_path(path, n, t0_dt, k_max=k_max))
+        reports.append(verify_on_grid_path(coarsen_grid(fine, factor), n, t0_dt, k_max=k_max))
     return reports
 
 
@@ -447,11 +446,10 @@ def exact_identity_suite(
     seed: int,
     *,
     max_jumps: int = 8,
-    horizon=1,
     float_mode: bool = False,
     k_max: int = comb.DEFAULT_ORDER_CAP,
 ) -> list[VerificationReport]:
-    """Random rational fixtures (jumps, drift, compensators), all n <= n_max.
+    """Random rational fixtures (jumps, drift, compensators) on (0, 1], all n <= n_max.
 
     Each fixture builds its levels once, at n_max, and reads every n from them.
     """
@@ -465,17 +463,10 @@ def exact_identity_suite(
     for f in range(count):
         rng = rng_for(seed, f)
         nj = int(rng.integers(0, max_jumps + 1))
-        path = random_jump_path(
-            nj,
-            horizon,
-            seed=int(rng.integers(0, 2**31)),
-            drift_rate="random",
-            moment_order=max(n_max, 2),
-            rational=True,
-        )
-        t0 = Fraction(horizon) * Fraction(int(rng.integers(0, 4)), 16)
-        ns = range(1, n_max + 1)
-        reports += _exact_reports(path, ns, t0, Fraction(horizon), float_mode=float_mode, k_max=k_max)
+        seed_f = int(rng.integers(0, 2**31))
+        path = random_jump_path(nj, 1, seed_f, drift_rate="random", moment_order=max(n_max, 2))
+        t0 = Fraction(int(rng.integers(0, 4)), 16)
+        reports += _exact_reports(path, range(1, n_max + 1), t0, Fraction(1), float_mode=float_mode, k_max=k_max)
     return reports
 
 

@@ -174,9 +174,6 @@ class MomentVector:
     def as_float(self) -> "MomentVector":
         return MomentVector(tuple(float(x) for x in self.m), float(self.sigma2), self.adjusted)
 
-    def as_exact(self) -> "MomentVector":
-        return MomentVector(tuple(Fraction(x) for x in self.m), Fraction(self.sigma2), self.adjusted)
-
 
 def _convert_law(law: JumpLaw, conv) -> JumpLaw:
     if isinstance(law, TwoPoint):

@@ -161,7 +161,7 @@ def _basis_change(exp: Expansion, tri: tuple, new_basis: str, ortho) -> Expansio
             if w == 0:
                 continue
             new_terms[kappa] = new_terms[kappa] + poly.scale(w)
-    return Expansion(n, new_basis, new_terms, exp.constant, exp.moments, exp.sigma_adjusted, ortho)
+    return Expansion(n, new_basis, new_terms, exp.constant, exp.moments, ortho)
 
 
 def to_h_basis(exp: Expansion, ortho: OrthoTriangular) -> Expansion:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -52,7 +52,6 @@ def rng_for(seed: int, path_index: int = 0) -> np.random.Generator:
 
 @dataclass(frozen=True, eq=False)
 class GridPath:
-    t0: float
     dt: float
     steps: int
     dX: np.ndarray
@@ -63,9 +62,6 @@ class GridPath:
     @property
     def horizon(self) -> float:
         return self.steps * self.dt
-
-    def times(self) -> np.ndarray:
-        return np.arange(self.steps + 1) * self.dt
 
     def cumulative(self) -> np.ndarray:
         out = np.empty(self.steps + 1)
@@ -132,7 +128,6 @@ def simulate_grid(
     model: LevyModel,
     T: float,
     dt: float,
-    t0: float = 0.0,
     seed: int = 0,
     path_index: int = 0,
 ) -> GridPath:
@@ -142,11 +137,8 @@ def simulate_grid(
     if T < dt:
         raise PathError(f"horizon {T} shorter than one step {dt}")
     steps = grid_index(T, dt, "horizon")
-    idx0 = grid_index(t0, dt, "t0")
-    if not 0 <= idx0 < steps:
-        raise PathError(f"t0={t0} outside the grid [0, {T})")
     dX = _draw_increments(model, dt, steps, rng_for(seed, path_index))
-    return GridPath(float(t0), float(dt), steps, dX, seed, path_index, model)
+    return GridPath(float(dt), steps, dX, seed, path_index, model)
 
 
 def power_increments(path: GridPath, i: int, mv_adjusted: MomentVector) -> np.ndarray:
@@ -234,62 +226,41 @@ def make_jump_path(
 RATIONAL_TICKS = 1024
 
 
-def _default_size(rng: np.random.Generator) -> float:
-    x = 0.0
-    while x == 0.0:
-        x = rng.uniform(-1.0, 1.0)
-    return x
-
-
 def random_jump_path(
     count: int,
     horizon,
     seed: int,
     *,
-    size_law: Optional[Callable[[np.random.Generator], object]] = None,
     drift_rate=0,
     moments_decl: Optional[Sequence] = None,
     moment_order: int = 6,
-    rational: bool = False,
 ) -> JumpPath:
-    """Random fixture path: ``count`` jumps at distinct times in (0, horizon].
+    """Random rational fixture: ``count`` jumps at distinct times in (0, horizon].
 
-    With ``rational`` True, times, sizes, drift and compensators are drawn as
-    small Fractions so downstream evaluation is exact.
+    Times, sizes, drift and compensators are small Fractions, so downstream
+    evaluation is exact.
     """
     if count < 0:
         raise PathError("jump count must be >= 0")
-    if rational and count > RATIONAL_TICKS:
+    if count > RATIONAL_TICKS:
         raise PathError(f"a rational fixture holds at most {RATIONAL_TICKS} jumps, got {count}")
     rng = rng_for(seed, 0)
-    if rational:
-        horizon = Fraction(horizon)
-        ticks = sorted(rng.choice(np.arange(1, RATIONAL_TICKS + 1), size=count, replace=False)) if count else []
-        times = [horizon * Fraction(int(k), RATIONAL_TICKS) for k in ticks]
-        sizes = []
-        for _ in range(count):
-            num = 0
-            while num == 0:
-                num = int(rng.integers(-20, 21))
-            sizes.append(Fraction(num, int(rng.integers(1, 11))))
-        if moments_decl is None:
-            moments_decl = tuple(
-                Fraction(int(rng.integers(-10, 11)), int(rng.integers(1, 9)))
-                for _ in range(moment_order)
-            )
-        if drift_rate == "random":
-            drift_rate = Fraction(int(rng.integers(-8, 9)), int(rng.integers(1, 9)))
-    else:
-        horizon = float(horizon)
-        times = sorted(float(horizon) * rng.uniform(0.0, 1.0) for _ in range(count))
-        while len(set(times)) < count:  # vanishing probability, but be safe
-            times = sorted(float(horizon) * rng.uniform(0.0, 1.0) for _ in range(count))
-        draw = size_law if size_law is not None else _default_size
-        sizes = [draw(rng) for _ in range(count)]
-        if moments_decl is None:
-            moments_decl = tuple(0 for _ in range(moment_order))
-        if drift_rate == "random":
-            drift_rate = rng.uniform(-1.0, 1.0)
+    horizon = Fraction(horizon)
+    ticks = sorted(rng.choice(np.arange(1, RATIONAL_TICKS + 1), size=count, replace=False)) if count else []
+    times = [horizon * Fraction(int(k), RATIONAL_TICKS) for k in ticks]
+    sizes = []
+    for _ in range(count):
+        num = 0
+        while num == 0:
+            num = int(rng.integers(-20, 21))
+        sizes.append(Fraction(num, int(rng.integers(1, 11))))
+    if moments_decl is None:
+        moments_decl = tuple(
+            Fraction(int(rng.integers(-10, 11)), int(rng.integers(1, 9)))
+            for _ in range(moment_order)
+        )
+    if drift_rate == "random":
+        drift_rate = Fraction(int(rng.integers(-8, 9)), int(rng.integers(1, 9)))
     return make_jump_path(horizon, drift_rate, list(zip(times, sizes)), moments_decl)
 
 

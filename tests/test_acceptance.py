@@ -127,7 +127,7 @@ def test_criterion_4_orthogonalization():
         # H-basis reconstruction equals Y-basis reconstruction, rational, n <= 4
         for n in range(1, 5):
             mv = sigma_adjust(moments(GAMMA, max(n, 2), exact=True))
-            path = random_jump_path(5, 1, seed=600 + n, rational=True, moments_decl=mv.m)
+            path = random_jump_path(5, 1, seed=600 + n, moments_decl=mv.m)
             expY = expand_from_moments(n, mv)
             expH = to_h_basis(expY, orthogonalize(GAMMA, n, exact=True))
             vy = reconstruct(expY, path, Fraction(0), Fraction(1))
@@ -141,7 +141,7 @@ def test_criterion_5_jamshidian_reduction():
             zero = MomentVector((Fraction(0),) * max(n, 2), Fraction(0), adjusted=True)
             assert terms_equal(expand_from_moments(n, zero), jamshidian_expand(n))
         for n in range(1, 7):
-            path = random_jump_path(6, 1, seed=500 + n, rational=True, moments_decl=(0,) * 6)
+            path = random_jump_path(6, 1, seed=500 + n, moments_decl=(0,) * 6)
             val = reconstruct(jamshidian_expand(n), path, Fraction(0), Fraction(1))
             assert val == path.value(Fraction(1)) ** n
 
@@ -188,7 +188,7 @@ def test_criterion_8_product_identity():
     with _Budget("8 product identity", 30):
         for m in range(1, 6):
             for n in range(1, 7 - m):
-                path = random_jump_path(5, 1, seed=800 + 10 * m + n, rational=True, drift_rate="random")
+                path = random_jump_path(5, 1, seed=800 + 10 * m + n, drift_rate="random")
                 rep = product_check(path, m, n, Fraction(0), Fraction(1))
                 assert rep.terminal_diff == 0, (m, n)
         # dt-decreasing error on one coupled Gamma realization
@@ -200,7 +200,7 @@ def test_criterion_8_product_identity():
 def test_criterion_9_taylor_functional():
     with _Budget("9 Taylor functional", 60):
         # polynomial of total degree d recovered exactly at D = d
-        path = random_jump_path(5, 1, seed=901, rational=True, drift_rate="random")
+        path = random_jump_path(5, 1, seed=901, drift_rate="random")
         spec = poly_functional(
             (Fraction(1, 2), Fraction(1)),
             4,

@@ -114,7 +114,7 @@ class TestExpand:
         assert exp.terms[(1,)].coeffs == (0, 2 * M1)
         assert exp.terms[(2,)].coeffs == (1,)
         assert exp.constant.coeffs == (0, M2, M1**2)
-        assert exp.sigma_adjusted and exp.moments.adjusted
+        assert exp.moments.adjusted
 
     def test_n1_any_model(self, gamma_model):
         exp = expand(1, gamma_model)

@@ -7,7 +7,7 @@ import sys
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from levychaos import cli
@@ -154,6 +154,7 @@ class TestErrorHygiene:
             P(TAYLOR, {"kind": "forward", "grid": [0.5], "s0": 100, "rate": "5%", "maturity": 1}, "taylor.invalid",
               id="spec-rate-not-number"),
             P(TAYLOR, {"kind": "exp", "grid": [-1.0]}, "paths.invalid", id="spec-grid-negative"),
+            P(TAYLOR, {"kind": "exp", "grid": [True]}, "cli.config", id="spec-grid-boolean"),
             P(CONVERGENCE + ["1e-2,abc"], None, "cli.config", id="dt-list-not-float"),
             P(CONVERGENCE + ["1e-2,nan"], None, "paths.invalid", id="dt-list-nan"),
             P(CONVERGENCE + ["1e-2", "--t0", "-0.05"], None, "paths.invalid", id="convergence-negative-t0"),
@@ -367,6 +368,32 @@ class TestTaylorCommand:
         assert err["error"] == "taylor.invalid"
         assert not (tmp_path / "x.out").exists()
 
+    def _run_spec(self, tmp_path, spec, orders):
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        out = tmp_path / "taylor.csv"
+        code = cli.main(TAYLOR + ["--spec", str(tmp_path / "spec.json"), "--orders", orders, "--out", str(out)])
+        return code, out
+
+    def test_long_grid_runs(self, tmp_path):
+        # 24 intervals at order 2: 325 terms, where a scan of all 3^24 exponent vectors never ends
+        code, out = self._run_spec(tmp_path, {"kind": "exp", "grid": [(k + 1) / 24 for k in range(24)]}, "2")
+        assert code == 0
+        assert [r.split(",")[0] for r in out.read_text().splitlines()[1:]] == ["2"]
+
+    def test_term_count_above_the_limit_fails(self, tmp_path, capsys):
+        code, out = self._run_spec(tmp_path, {"kind": "exp", "grid": [(k + 1) / 200 for k in range(200)]}, "2,8")
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "taylor.invalid" and "too many Taylor terms" in err["message"]
+        assert not out.exists()
+
+    def test_exact_fixtures_declare_moments_through_the_top_order(self, tmp_path, monkeypatch):
+        # an order of 16 reads m13..m16 of the fixtures, as the --dt form of the study does
+        monkeypatch.setenv("LEVY_CHAOS_KMAX", "16")
+        code, out = self._run_spec(tmp_path, EXP_SPEC, "16")
+        assert code == 0
+        assert out.read_text().splitlines()[1].startswith("16,2,exact,")
+
 
 class TestConfigFile:
     def test_config_supplies_options(self, tmp_path):
@@ -453,6 +480,7 @@ fuzz_argv = st.sampled_from(sorted(FUZZ_BASE)).flatmap(fuzz_command_argv)
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(fuzz_argv)
+@example(["ortho", "--model", GAMMA, "--order", "1000000"])  # the derandomized draw never holds it
 def test_argv_fuzz_exits_0_or_json_error_without_output(argv):
     with tempfile.TemporaryDirectory() as work:
         files = {

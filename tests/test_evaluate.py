@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from levychaos import evaluate
 from levychaos.chaos import Expansion, expand, expand_from_moments, jamshidian_expand
 from levychaos.errors import EvaluationError, MomentError, OrderError, PathError
 from levychaos.evaluate import (
@@ -19,6 +20,7 @@ from levychaos.evaluate import (
     verify_exact,
     verify_grid,
     verify_grid_sweep,
+    verify_on_grid_path,
 )
 from levychaos.models import LevyModel, MomentVector, moments, sigma_adjust
 from levychaos.ortho import orthogonalize, to_h_basis
@@ -29,9 +31,9 @@ ZERO_MV6 = MomentVector((0,) * 6, 0, adjusted=True)
 DUMMY_MODEL = LevyModel(0, 1)
 
 
-def manual_grid(dX, dt=1.0, t0=0.0):
+def manual_grid(dX, dt=1.0):
     dX = np.asarray(dX, dtype=float)
-    return GridPath(t0, dt, len(dX), dX, 0, 0, DUMMY_MODEL)
+    return GridPath(dt, len(dX), dX, 0, 0, DUMMY_MODEL)
 
 
 def brute_iterated_grid(dX, theta, m, dt):
@@ -156,7 +158,7 @@ class TestEvalExact:
 
 class TestReconstruct:
     def test_first_power_telescopes_on_grid(self, gamma_model):
-        path = simulate_grid(gamma_model, 0.2, 1e-3, t0=0.05, seed=21)
+        path = simulate_grid(gamma_model, 0.2, 1e-3, seed=21)
         series = reconstruct(expand(1, gamma_model), path, 0.05)
         i0 = 50
         direct = np.concatenate([[0.0], np.cumsum(path.dX[i0:])])
@@ -203,7 +205,7 @@ class TestOrientationLock:
         terms = dict(exp.terms)
         terms[(2, 1)] = terms[(2, 1)] + terms[(1, 2)]
         terms[(1, 2)] = terms[(1, 2)].scale(0)
-        mutated = Expansion(3, "Y", terms, exp.constant, exp.moments, True)
+        mutated = Expansion(3, "Y", terms, exp.constant, exp.moments)
         direct = (path.value(Fraction(1)) - path.value(Fraction(0))) ** 3
         assert reconstruct(mutated, path, Fraction(0), Fraction(1)) != direct
 
@@ -253,6 +255,23 @@ class TestVerify:
         assert rows[0] == ["step", "t", "direct", "reconstructed", "diff"]
         assert len(rows) == len(rep.times) + 1
 
+    @pytest.mark.parametrize("t0,match", [(0.0099, "misaligned t0"), (-0.05, "outside the grid")])
+    def test_bad_t0_fails_before_the_path_is_drawn(self, gamma_model, monkeypatch, t0, match):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("path drawn for a bad t0")
+
+        monkeypatch.setattr(evaluate, "simulate_grid", no_draw)
+        with pytest.raises(PathError, match=match):
+            verify_grid(gamma_model, 2, t0, 1.0, 1e-2)
+
+    def test_negative_t0_is_refused_on_a_given_path(self, gamma_model):
+        # a negative start index must not slice dX from the end
+        path = simulate_grid(gamma_model, 0.1, 1e-2, seed=1)
+        with pytest.raises(PathError, match="window"):
+            verify_on_grid_path(path, 2, -0.05)
+        with pytest.raises(PathError, match="outside the grid"):
+            reconstruct(expand(2, gamma_model), path, -0.05)
+
     def test_diff_csv_requires_grid(self):
         path = make_jump_path(1, 0, [(Fraction(1, 2), 2)], (0, 0))
         rep = verify_exact(path, 2, Fraction(0), Fraction(1))
@@ -264,7 +283,7 @@ class TestHBasisEquivalence:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_reconstruction_matches(self, gamma_model, n):
         mv = sigma_adjust(moments(gamma_model, max(n, 2), exact=True))
-        path = random_jump_path(4, 1, seed=31 + n, rational=True, moments_decl=mv.m)
+        path = random_jump_path(4, 1, seed=31 + n, moments_decl=mv.m)
         expY = expand_from_moments(n, mv)
         expH = to_h_basis(expY, orthogonalize(gamma_model, max(n, 1), exact=True))
         vy = reconstruct(expY, path, Fraction(0), Fraction(1))
@@ -277,7 +296,7 @@ class TestHBasisEquivalence:
 class TestJamshidianPathwise:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_power_identity_zero_drift(self, n):
-        path = random_jump_path(5, 1, seed=47, rational=True, moments_decl=(0,) * 6)
+        path = random_jump_path(5, 1, seed=47, moments_decl=(0,) * 6)
         val = reconstruct(jamshidian_expand(n), path, Fraction(0), Fraction(1))
         assert val == path.value(Fraction(1)) ** n
 
@@ -291,7 +310,7 @@ class TestJamshidianPathwise:
     def test_power_identity_with_declared_compensators(self, n):
         # The brackets never read the compensators, so nonzero declared
         # moments must leave the non-compensated identity untouched.
-        path = random_jump_path(4, 1, seed=61, rational=True, drift_rate="random", moment_order=6)
+        path = random_jump_path(4, 1, seed=61, drift_rate="random", moment_order=6)
         assert any(m != 0 for m in path.mv.m)
         t0 = Fraction(1, 8)
         val = reconstruct(jamshidian_expand(n), path, t0, Fraction(1))
@@ -300,7 +319,7 @@ class TestJamshidianPathwise:
 
 class TestProductIdentity:
     def test_exact_first_powers(self):
-        path = random_jump_path(3, 1, seed=53, rational=True)
+        path = random_jump_path(3, 1, seed=53)
         rep = product_check(path, 1, 1, Fraction(0), Fraction(1))
         assert rep.terminal_diff == 0
 
@@ -356,7 +375,7 @@ class TestLevelEngineRouting:
             (levychaos.chaos, "expand"),
         ]:
             monkeypatch.setattr(module, name, forbidden)
-        path = random_jump_path(4, 1, seed=71, rational=True, drift_rate="random")
+        path = random_jump_path(4, 1, seed=71, drift_rate="random")
         assert verify_exact(path, 5, Fraction(0), Fraction(1)).terminal_diff == 0
         assert product_check(path, 2, 3, Fraction(1, 4), Fraction(1)).terminal_diff == 0
         assert verify_grid(gamma_model, 4, 0.0, 0.1, 1e-2, seed=2).max_abs_diff < 1e-2

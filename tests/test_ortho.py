@@ -247,7 +247,7 @@ class TestBasisTransforms:
 def expand_like_single_term(mv):
     from levychaos.chaos import Expansion
 
-    return Expansion(2, "Y", {(2,): TimePolynomial((1,))}, TimePolynomial.zero(), mv, True)
+    return Expansion(2, "Y", {(2,): TimePolynomial((1,))}, TimePolynomial.zero(), mv)
 
 
 def test_json_shape(gamma_model):

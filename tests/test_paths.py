@@ -31,10 +31,10 @@ class TestSimulateGrid:
         assert abs(samples.mean() - 0.5) < 3 * se
 
     def test_determinism(self, mixed_model):
-        a = simulate_grid(mixed_model, 1.0, 1e-3, 0.1, seed=7, path_index=3)
-        b = simulate_grid(mixed_model, 1.0, 1e-3, 0.1, seed=7, path_index=3)
+        a = simulate_grid(mixed_model, 1.0, 1e-3, seed=7, path_index=3)
+        b = simulate_grid(mixed_model, 1.0, 1e-3, seed=7, path_index=3)
         assert np.array_equal(a.dX, b.dX)
-        c = simulate_grid(mixed_model, 1.0, 1e-3, 0.1, seed=7, path_index=4)
+        c = simulate_grid(mixed_model, 1.0, 1e-3, seed=7, path_index=4)
         assert not np.array_equal(a.dX, c.dX)
 
     def test_compound_poisson_mean(self):
@@ -53,8 +53,6 @@ class TestSimulateGrid:
     def test_validation(self, gamma_model):
         with pytest.raises(PathError, match="nonpositive dt"):
             simulate_grid(gamma_model, 1.0, 0.0)
-        with pytest.raises(PathError, match="misaligned t0"):
-            simulate_grid(gamma_model, 1.0, 0.01, t0=0.0099)
         with pytest.raises(PathError, match="misaligned horizon"):
             simulate_grid(gamma_model, 1.0005, 0.01)
         with pytest.raises(PathError, match="synthetic"):
@@ -90,7 +88,7 @@ class TestPowerIncrements:
 
     def test_all_zero_increments(self):
         model = LevyModel(1, 0)
-        path = GridPath(0.0, 0.1, 5, np.zeros(5), 0, 0, model)
+        path = GridPath(0.1, 5, np.zeros(5), 0, 0, model)
         mv = sigma_adjust(moments(model, 3))
         assert np.allclose(power_increments(path, 3, mv), -mv.moment(3) * 0.1)
 
@@ -177,15 +175,11 @@ class TestJumpPath:
         assert a.jumps == b.jumps and a.drift_rate == b.drift_rate
 
     def test_random_rational_is_exact(self):
-        path = random_jump_path(6, 1, seed=11, rational=True, drift_rate="random")
+        path = random_jump_path(6, 1, seed=11, drift_rate="random")
         assert all(isinstance(s, Fraction) and isinstance(x, Fraction) for s, x in path.jumps)
         assert isinstance(path.drift_rate, Fraction)
         assert all(isinstance(m, Fraction) for m in path.mv.m)
         assert len({s for s, _ in path.jumps}) == 6
-
-    def test_default_sizes_in_range(self):
-        path = random_jump_path(8, 2.0, seed=3)
-        assert all(-1 <= x <= 1 and x != 0 for _, x in path.jumps)
 
 
 class TestExport:

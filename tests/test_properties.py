@@ -198,3 +198,27 @@ def test_y_expansion_isometry(spec, n):
                 acc = acc + (p * q).scale(math.prod(m(i + j) for i, j in zip(theta, theta2)))
         second_moment = second_moment + acc * TimePolynomial.monomial(k, Fraction(1, math.factorial(k)))
     assert second_moment == expectation(2 * n, model, exact=True)
+
+
+@settings(max_examples=25, deadline=None)
+@given(model_specs(), st.integers(min_value=1, max_value=6))
+def test_h_expansion_isometry(spec, n):
+    """E[(X_t - X_0)^2n] = C^(n)(t)^2 + sum_kappa Pi^H_kappa(t)^2 prod_j q_{kappa_j} t^|kappa|/|kappa|!.
+
+    The H^(i) are strongly orthogonal, d<H^(i), H^(j)> = [i=j] q_i dt, where
+    q_i = <p_i, p_i> = sum_{u,v} a_{i,u} a_{i,v} mu_{u+v} is the norm of the
+    i-th orthogonal polynomial; iterated integrals over different tuples are
+    orthogonal.  This checks the a/b arrays and the basis change with no path.
+    """
+    model = parse_model(spec)
+    try:
+        ortho = orthogonalize(model, n, exact=True)
+    except DegenerateMeasureError:  # eta has fewer than n support points
+        return
+    q = [sum(x * y * ortho.mu[u + v] for u, x in enumerate(row) for v, y in enumerate(row)) for row in ortho.a]
+    exp = to_h_basis(expand(n, model, exact=True), ortho)
+    second_moment = exp.constant * exp.constant
+    for kappa, poly in exp.terms.items():
+        weight = Fraction(math.prod(q[k - 1] for k in kappa), math.factorial(len(kappa)))
+        second_moment = second_moment + poly * poly * TimePolynomial.monomial(len(kappa), weight)
+    assert second_moment == expectation(2 * n, model, exact=True)

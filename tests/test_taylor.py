@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -53,6 +54,17 @@ class TestTaylorTerms:
         assert got[(2, 1)] == pytest.approx(1 / 2)
         assert got[(1, 1)] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("arity,order", [(1, 8), (2, 8), (3, 6), (5, 4), (7, 3)])
+    def test_direct_enumeration_equals_the_product_scan(self, arity, order):
+        # oracle: every vector of the box (D+1)^arity, filtered by degree
+        spec = exp_functional([k + 1 for k in range(arity)], order, weights=[k + 2 for k in range(arity)])
+        scanned = [
+            e for total in range(order + 1)
+            for e in itertools.product(range(total + 1), repeat=arity) if sum(e) == total
+        ]
+        assert [e for e, _ in taylor_terms(spec)] == scanned
+        assert len(scanned) == math.comb(order + arity, arity)
+
 
 class TestEvalFunctional:
     def test_square_captured_exactly(self):
@@ -100,8 +112,8 @@ class TestEvalFunctional:
         assert errs[0] > errs[1] > errs[2] > errs[3]
 
     def test_grid_substrate(self, gamma_model):
-        paths = [simulate_grid(gamma_model, 0.5, 1e-3, 0.0, seed=9, path_index=i) for i in range(3)]
-        rep = eval_functional(exp_functional((0.5,), 6), paths, gamma_model)
+        paths = [simulate_grid(gamma_model, 0.5, 1e-3, seed=9, path_index=i) for i in range(3)]
+        rep = eval_functional(exp_functional((0.5,), 6), paths)
         # truncation is tiny; the residual is grid discretization error
         assert 0 < rep.mean_abs_error < 0.05
 
@@ -135,10 +147,10 @@ class TestOnePass:
         if substrate == "exact":
             batch = model_jump_fixtures(gamma_model, 0.5, 3, seed=4)
         else:
-            batch = [simulate_grid(gamma_model, 0.5, 1e-2, 0.0, seed=4, path_index=i) for i in range(3)]
-        full = eval_functional(functional_from_json({**data, "order": self.D_MAX}), batch, gamma_model)
+            batch = [simulate_grid(gamma_model, 0.5, 1e-2, seed=4, path_index=i) for i in range(3)]
+        full = eval_functional(functional_from_json({**data, "order": self.D_MAX}), batch)
         for D in range(self.D_MAX + 1):
-            alone = eval_functional(functional_from_json({**data, "order": D}), batch, gamma_model)
+            alone = eval_functional(functional_from_json({**data, "order": D}), batch)
             cut = full.truncated(D)
             assert cut.order == D
             assert cut.approximations == alone.approximations
