@@ -21,7 +21,7 @@ from .errors import BasisError, OrderError
 from .models import LevyModel, MomentVector, moments, sigma_adjust
 from .timepoly import TimePolynomial, ratio
 
-BASES = ("Y", "H", "NONCOMPENSATED", "PRM")
+BASES = ("Y", "H", "NONCOMPENSATED")
 
 
 def c_polys(n: int, mv: MomentVector) -> list[TimePolynomial]:
@@ -131,34 +131,31 @@ def _per_multiset(thetas, coeff) -> dict:
     return {theta: shared[key] for theta, key in keys.items()}
 
 
-def _tables(n: int, mv: MomentVector, k_max: int) -> tuple[list[TimePolynomial], Expansion]:
+def _tables(n: int, mv: MomentVector) -> tuple[list[TimePolynomial], Expansion]:
     if not mv.adjusted:
         raise BasisError("expansion requires a sigma-adjusted moment vector")
     c = c_polys(n, mv)
-    terms = _per_multiset(comb.index_set(n, k_max=k_max), lambda key: _pi(key, n - sum(key), c))
+    terms = _per_multiset(comb.index_set(n), lambda key: _pi(key, n - sum(key), c))
     return c, Expansion(n, "Y", terms, c[n], mv)
 
 
-def expand_from_moments(n: int, mv: MomentVector, *, k_max: int = comb.DEFAULT_ORDER_CAP) -> Expansion:
+def expand_from_moments(n: int, mv: MomentVector) -> Expansion:
     """Y-basis expansion of order n from an already sigma-adjusted vector."""
-    return _tables(n, mv, k_max)[1]
+    return _tables(n, mv)[1]
 
 
-def coeff_tables(n: int, model: LevyModel, *, exact: bool = False, k_max: int = comb.DEFAULT_ORDER_CAP) -> tuple:
+def coeff_tables(n: int, model: LevyModel, *, exact: bool = False) -> tuple:
     """(C^(0)..C^(n), the Y-basis expansion of order n on that C table).
 
     The Brownian variance is folded into m2 exactly once, here.
     """
-    if n < 1:
-        raise OrderError("expansion order must be >= 1")
-    if n > k_max:  # before the moments, which a huge n would take long to build
-        raise OrderError(f"order too large: {n} > cap {k_max}")
-    return _tables(n, sigma_adjust(moments(model, max(n, 2), exact=exact)), k_max)
+    comb.check_order(n)  # before the moments, which a huge n would take long to build
+    return _tables(n, sigma_adjust(moments(model, max(n, 2), exact=exact)))
 
 
-def expand(n: int, model: LevyModel, *, exact: bool = False, k_max: int = comb.DEFAULT_ORDER_CAP) -> Expansion:
+def expand(n: int, model: LevyModel, *, exact: bool = False) -> Expansion:
     """Y-basis expansion of (X_{t+t0} - X_{t0})^n for the given model."""
-    return coeff_tables(n, model, exact=exact, k_max=k_max)[1]
+    return coeff_tables(n, model, exact=exact)[1]
 
 
 def expectation(n: int, model: LevyModel, *, exact: bool = False) -> TimePolynomial:
@@ -171,16 +168,13 @@ def expectation(n: int, model: LevyModel, *, exact: bool = False) -> TimePolynom
     return c_poly_recursive(n, mv)
 
 
-def jamshidian_expand(n: int, *, k_max: int = comb.DEFAULT_ORDER_CAP) -> Expansion:
+def jamshidian_expand(n: int) -> Expansion:
     """Non-compensated expansion of X_t^n: purely multinomial coefficients.
 
     Only tuples with exact sum n appear and the constant vanishes; this is
     what the Y-basis formula degenerates to when every moment is zeroed.
     """
-    if n < 1:
-        raise OrderError("expansion order must be >= 1")
-    if n > k_max:
-        raise OrderError(f"order too large: {n} > cap {k_max}")
+    comb.check_order(n)
     thetas = [theta for length in range(1, n + 1) for theta in comb.exact_sum_compositions(n, length)]
     terms = _per_multiset(thetas, lambda key: TimePolynomial.constant(comb.multinomial(key)))
     zero_mv = MomentVector((0,) * max(n, 2), 0, adjusted=True)
@@ -191,33 +185,25 @@ def jamshidian_expand(n: int, *, k_max: int = comb.DEFAULT_ORDER_CAP) -> Expansi
 class PrmIntegrandDescriptor:
     """One Poisson-random-measure integrand: monomial exponents + coefficient.
 
-    ``exponents[p]`` is the power applied to the jump-size variable paired
-    with the (p+1)-th time variable, times ordered outermost-first; with
-    ``innermost_last`` True the final exponent rides on the earliest-time
-    (innermost) variable.  The coefficient is the same elapsed-time polynomial
-    as the Y-basis term for ``tuple`` and involves neither the start time nor
-    any integration variable.
+    ``exponents`` equals ``tuple`` and follows the module convention:
+    ``exponents[0]`` is the power applied to the jump size paired with the
+    innermost (earliest-time) variable.  The coefficient is the same
+    elapsed-time polynomial as the Y-basis term for ``tuple`` and involves
+    neither the start time nor any integration variable.
     """
 
     tuple: comb.IndexTuple
     exponents: comb.IndexTuple
     coefficient: TimePolynomial
-    innermost_last: bool = True
 
     def __post_init__(self):
         if self.exponents != self.tuple:
             raise BasisError("descriptor exponents must equal the index tuple")
 
 
-def prm_integrands(
-    n: int,
-    model: LevyModel,
-    *,
-    exact: bool = False,
-    k_max: int = comb.DEFAULT_ORDER_CAP,
-) -> list[PrmIntegrandDescriptor]:
+def prm_integrands(n: int, model: LevyModel, *, exact: bool = False) -> list[PrmIntegrandDescriptor]:
     """Integrand descriptors for the random-measure form of the expansion."""
-    exp = expand(n, model, exact=exact, k_max=k_max)
+    exp = expand(n, model, exact=exact)
     return [
         PrmIntegrandDescriptor(theta, theta, poly)
         for theta, poly in exp.terms.items()

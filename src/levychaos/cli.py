@@ -10,8 +10,11 @@ artifacts.  Output files are written to a temporary sibling and atomically
 renamed; error paths never leave partial files.  Errors, usage errors
 included, exit 1 with machine-readable JSON on stderr.
 
-LEVY_CHAOS_KMAX overrides the order cap: an integer in [1, 16], default 12
-(ortho --order stays at most 32, and 8 in float mode).  --config keys may be
+LEVY_CHAOS_KMAX sets the order cap of coeffs, expand, verify, convergence,
+exact-verify and taylor: an integer in [1, 16], default 12, checked before
+any model, path or fixture is built.  It is a CLI setting only; the library
+refuses just orders above combinatorics.ORDER_LIMIT where it lists tuples.
+ortho --order stays at most 32, and 8 in float mode.  --config keys may be
 spelled with '-' or '_' (``dt-list`` or ``dt_list``); a key naming a flag
 the command does not read fails.
 """
@@ -36,7 +39,7 @@ from .chaos import (
     jamshidian_expand,
     scalar_to_json,
 )
-from .errors import ConfigError, LevyChaosError, OrderError
+from .errors import ConfigError, FunctionalError, LevyChaosError, OrderError
 from .evaluate import (
     diff_csv_rows,
     exact_identity_suite,
@@ -50,22 +53,17 @@ from .paths import grid_csv_rows, simulate_grid
 from .taylor import eval_functional, functional_from_json, model_jump_fixtures
 
 
-# Largest accepted LEVY_CHAOS_KMAX: coeffs at order 16 already walks 2^16 - 1
-# tuples (about 2.4 s and 170 MB on a 2-CPU Xeon), and each +2 costs about 4x.
-_KMAX_LIMIT = 16
-
-
-def _k_max() -> int:
-    raw = os.environ.get("LEVY_CHAOS_KMAX")
-    if raw is None:
-        return comb.DEFAULT_ORDER_CAP
+def _check_order(n: int, error=OrderError, label: str = "") -> None:
+    """Refuse an order above the LEVY_CHAOS_KMAX cap (default 12), before any work."""
+    raw = os.environ.get("LEVY_CHAOS_KMAX", "12")
     try:
-        k_max = int(raw)
+        cap = int(raw)
     except ValueError:
-        k_max = None
-    if k_max is None or not 1 <= k_max <= _KMAX_LIMIT:
-        raise ConfigError(f"LEVY_CHAOS_KMAX must be an integer in [1, {_KMAX_LIMIT}], got {raw!r}")
-    return k_max
+        cap = None
+    if cap is None or not 1 <= cap <= comb.ORDER_LIMIT:
+        raise ConfigError(f"LEVY_CHAOS_KMAX must be an integer in [1, {comb.ORDER_LIMIT}], got {raw!r}")
+    if n > cap:
+        raise error(f"order too large: {label}{n} > cap {cap}")
 
 
 # Largest ortho --order.  Rational Gram-Schmidt on gamma:a=10,b=20 takes about
@@ -130,7 +128,8 @@ def _number_list(text: str, conv, flag: str) -> list:
 
 def _cmd_coeffs(args) -> None:
     n = args.n
-    c_list, exp = coeff_tables(n, parse_model(args.model), exact=args.mode == "rational", k_max=_k_max())
+    _check_order(n)
+    c_list, exp = coeff_tables(n, parse_model(args.model), exact=args.mode == "rational")
     # every permutation of a multiset shares one Pi object: render each distinct polynomial once
     distinct = {id(p): p.coeffs for p in [*c_list, *exp.terms.values()]}
     if args.format == "json":
@@ -154,13 +153,14 @@ def _cmd_coeffs(args) -> None:
 
 def _cmd_expand(args) -> None:
     basis = args.basis
+    _check_order(args.n)
     if basis == "jamshidian":
-        exp = jamshidian_expand(args.n, k_max=_k_max())
+        exp = jamshidian_expand(args.n)
     else:
         if args.model is None:
             raise ConfigError("the y and h bases require --model")
         model = parse_model(args.model)
-        exp = expand(args.n, model, exact=args.mode == "rational", k_max=_k_max())
+        exp = expand(args.n, model, exact=args.mode == "rational")
         if basis == "h":
             ortho = orthogonalize(model, args.n, exact=args.mode == "rational")
             exp = to_h_basis(exp, ortho)
@@ -193,19 +193,21 @@ def _cmd_simulate(args) -> None:
 
 
 def _cmd_verify(args) -> None:
+    _check_order(args.n)
     model = parse_model(args.model)
-    report = verify_grid(model, args.n, args.t0, args.t, args.dt, args.seed, k_max=_k_max())
+    report = verify_grid(model, args.n, args.t0, args.t, args.dt, args.seed)
     if args.out:
         _atomic_write(args.out, _csv_text(diff_csv_rows(report)))
     sys.stdout.write(_json_text(report_to_json_dict(report)))
 
 
 def _cmd_convergence(args) -> None:
+    _check_order(args.n)
     model = parse_model(args.model)
     dts = _number_list(args.dt_list, float, "--dt-list")
     if not dts:
         raise ConfigError("empty --dt-list")
-    reports = verify_grid_sweep(model, args.n, args.t0, args.t, dts, args.seed, k_max=_k_max())
+    reports = verify_grid_sweep(model, args.n, args.t0, args.t, dts, args.seed)
     rows = [["dt", "t0_used", "max_abs_diff", "terminal_diff"]]
     for dt, report in zip(dts, reports):
         rows.append([repr(dt), repr(report.t0), repr(report.max_abs_diff), repr(report.terminal_diff)])
@@ -213,13 +215,9 @@ def _cmd_convergence(args) -> None:
 
 
 def _cmd_exact_verify(args) -> None:
+    _check_order(args.n)
     reports = exact_identity_suite(
-        args.count,
-        args.n,
-        args.seed,
-        max_jumps=args.max_jumps,
-        float_mode=args.mode == "float",
-        k_max=_k_max(),
+        args.count, args.n, args.seed, max_jumps=args.max_jumps, float_mode=args.mode == "float"
     )
     worst = max((abs(r.terminal_diff) for r in reports), default=0)
     payload = {
@@ -240,19 +238,19 @@ def _cmd_taylor(args) -> None:
     # type(x), not isinstance: JSON true and false are ints to isinstance
     if not (isinstance(grid, list) and grid and all(type(x) in (int, float) and math.isfinite(x) for x in grid)):
         raise ConfigError("--spec needs a nonempty 'grid' list of finite numbers")
-    model = parse_model(args.model)
     orders = _number_list(args.orders, int, "--orders")
-    top, k_max = max(orders, default=0), _k_max()
+    top = max(orders, default=0)
+    _check_order(top, FunctionalError, "D=")
+    model = parse_model(args.model)
     rows = [["order", "paths", "substrate", "mean_abs_error", "max_abs_error"]]
     if args.dt is not None:
         batch = [simulate_grid(model, grid[-1], args.dt, args.seed, i) for i in range(args.paths)]
         substrate = "grid"
     else:
-        # the fixtures declare moments through the top order; eval_functional refuses one above k_max
-        batch = model_jump_fixtures(model, grid[-1], args.paths, args.seed, moment_order=min(top, k_max))
+        batch = model_jump_fixtures(model, grid[-1], args.paths, args.seed, moment_order=top)
         substrate = "exact"
     spec = functional_from_json({**spec_data, "order": top})
-    report = eval_functional(spec, batch, k_max=k_max)
+    report = eval_functional(spec, batch)
     for D in orders:
         at_D = report.truncated(D)
         rows.append([str(D), str(args.paths), substrate, repr(at_D.mean_abs_error), repr(at_D.max_abs_error)])

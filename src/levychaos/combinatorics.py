@@ -14,22 +14,28 @@ from typing import Iterator, Sequence
 
 from .errors import OrderError
 
-# Default cap on the expansion order; factorials and 2^k set sizes stay
-# desk-scale below this.  Overridable per call (CLI: LEVY_CHAOS_KMAX).
-DEFAULT_ORDER_CAP = 12
+# Largest order whose tuples the library lists: order 16 already walks
+# 2^16 - 1 tuples (a rational coeffs takes about 2.1 s and 160 MB on a 2-CPU
+# Xeon), and each +2 costs about 4x.  The level engine lists none and has no cap.
+ORDER_LIMIT = 16
 
 IndexTuple = tuple[int, ...]
 
 
-def index_set(k: int, *, k_max: int = DEFAULT_ORDER_CAP) -> list[IndexTuple]:
+def check_order(n: int) -> None:
+    """Refuse an expansion order outside 1..ORDER_LIMIT, before any work."""
+    if n < 1:
+        raise OrderError("order must be >= 1")
+    if n > ORDER_LIMIT:
+        raise OrderError(f"order too large: {n} > cap {ORDER_LIMIT}")
+
+
+def index_set(k: int) -> list[IndexTuple]:
     """All tuples of positive integers with sum <= k.
 
     Ordered by (sum, length, lexicographic); the count is exactly 2^k - 1.
     """
-    if k < 1:
-        raise OrderError("order must be >= 1")
-    if k > k_max:
-        raise OrderError(f"order too large: {k} > cap {k_max}")
+    check_order(k)
     # by_length[s][p]: the length-p compositions of s, lexicographic.  A first
     # part followed by the length-(p-1) compositions of the rest keeps that order.
     by_length = [[[()]]]

@@ -25,12 +25,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import combinatorics as comb
 from .chaos import Expansion, c_polys, scalar_to_json
 from .errors import EvaluationError, OrderError, PathError
 from .models import LevyModel, model_label, moments, sigma_adjust
 from .paths import GridPath, JumpPath, grid_index, power_increments, random_jump_path, rng_for
-from .paths import simulate_grid
+from .paths import RATIONAL_TICKS, simulate_grid
 from .timepoly import TimePolynomial
 
 # --------------------------------------------------------------------------
@@ -227,7 +226,7 @@ def _end(v):
     return float(v[-1]) if isinstance(v, np.ndarray) else v
 
 
-def _power_levels(path, n: int, t0, t=None, *, k_max: int = comb.DEFAULT_ORDER_CAP) -> Callable[[int], tuple]:
+def _power_levels(path, n: int, t0, t=None) -> Callable[[int], tuple]:
     """power(e) -> (value, norms): the reconstructed (X_t - X_{t0})^e, any e <= n.
 
     As Pi_theta = C(e, s) * multinomial(theta) * C^(e-s) with s = sum(theta),
@@ -237,8 +236,6 @@ def _power_levels(path, n: int, t0, t=None, *, k_max: int = comb.DEFAULT_ORDER_C
     (t defaults to the end) or scalars at t; norms[s] is level s's sup norm.
     Only the levels are kept; each power's terms are formed when asked for.
     """
-    if n > k_max:
-        raise OrderError(f"order too large: {n} > cap {k_max}")
     if isinstance(path, GridPath):
         t0 = float(t0)
         mv = sigma_adjust(moments(path.model, max(n, 2)))
@@ -305,37 +302,22 @@ def _verification(power, path, n: int, t0, t, direct, provenance: str) -> Verifi
     return VerificationReport(n, t0, t, substrate, provenance, _sup(diff), _end(diff), _end(direct), norms, *series)
 
 
-def verify_on_grid_path(
-    path: GridPath,
-    n: int,
-    t0: float,
-    *,
-    k_max: int = comb.DEFAULT_ORDER_CAP,
-) -> VerificationReport:
+def verify_on_grid_path(path: GridPath, n: int, t0: float) -> VerificationReport:
     """Compare the direct power series with its reconstruction on one path."""
-    power = _power_levels(path, n, t0, path.horizon, k_max=k_max)  # validates the window before dX is sliced
+    power = _power_levels(path, n, t0, path.horizon)  # validates the window before dX is sliced
     x_rel = np.concatenate(([0.0], np.cumsum(path.dX[grid_index(t0, path.dt):])))
     provenance = f"{model_label(path.model)} dt={path.dt} seed={path.seed}/{path.path_index}"
     return _verification(power, path, n, t0, path.horizon, x_rel**n, provenance)
 
 
-def verify_grid(
-    model: LevyModel,
-    n: int,
-    t0: float,
-    t: float,
-    dt: float,
-    seed: int = 0,
-    *,
-    k_max: int = comb.DEFAULT_ORDER_CAP,
-) -> VerificationReport:
+def verify_grid(model: LevyModel, n: int, t0: float, t: float, dt: float, seed: int = 0) -> VerificationReport:
     """Simulate one path and compare the direct power with its reconstruction."""
     if t0 >= t:
         raise EvaluationError(f"t0 >= t: [{t0}, {t}] is empty")
     if dt > 0 and grid_index(t0, dt) < 0:  # fail before the path is drawn; simulate_grid checks dt
         raise PathError(f"t0={t0} outside the grid [0, {t})")
     path = simulate_grid(model, t, dt, seed)
-    return verify_on_grid_path(path, n, t0, k_max=k_max)
+    return verify_on_grid_path(path, n, t0)
 
 
 def coarsen_grid(path: GridPath, factor: int) -> GridPath:
@@ -350,14 +332,7 @@ def coarsen_grid(path: GridPath, factor: int) -> GridPath:
 
 
 def verify_grid_sweep(
-    model: LevyModel,
-    n: int,
-    t0: float,
-    t: float,
-    dts: list,
-    seed: int = 0,
-    *,
-    k_max: int = comb.DEFAULT_ORDER_CAP,
+    model: LevyModel, n: int, t0: float, t: float, dts: list, seed: int = 0
 ) -> list[VerificationReport]:
     """Verification across step sizes on one coupled realization.
 
@@ -376,33 +351,25 @@ def verify_grid_sweep(
         if abs(factor * dt_fine - dt) > 1e-9 * dt:
             raise PathError(f"dt {dt} is not a multiple of the finest step {dt_fine}")
         t0_dt = round(t0 / dt) * dt
-        reports.append(verify_on_grid_path(coarsen_grid(fine, factor), n, t0_dt, k_max=k_max))
+        reports.append(verify_on_grid_path(coarsen_grid(fine, factor), n, t0_dt))
     return reports
 
 
-def verify_exact(
-    path: JumpPath,
-    n: int,
-    t0,
-    t,
-    *,
-    float_mode: bool = False,
-    k_max: int = comb.DEFAULT_ORDER_CAP,
-) -> VerificationReport:
+def verify_exact(path: JumpPath, n: int, t0, t, *, float_mode: bool = False) -> VerificationReport:
     """Check the representation identity on an exact jump path.
 
     In rational mode the terminal difference is an exact scalar (zero when the
     identity holds); float mode evaluates the same algebra in doubles.
     """
-    return _exact_reports(path, [n], t0, t, float_mode=float_mode, k_max=k_max)[0]
+    return _exact_reports(path, [n], t0, t, float_mode=float_mode)[0]
 
 
-def _exact_reports(path: JumpPath, ns, t0, t, *, float_mode: bool, k_max: int) -> list[VerificationReport]:
+def _exact_reports(path: JumpPath, ns, t0, t, *, float_mode: bool) -> list[VerificationReport]:
     """:func:`verify_exact` for every order in ``ns``, from one level build."""
     p = path.to_float() if float_mode else path
     if float_mode:
         t0, t = float(t0), float(t)
-    power = _power_levels(p, max(ns), t0, t, k_max=k_max)
+    power = _power_levels(p, max(ns), t0, t)
     increment = p.value(t) - p.value(t0)
     provenance = f"jumps={len(p.jumps)} drift={p.drift_rate} float={float_mode}"
     return [_verification(power, p, n, t0, t, increment**n, provenance) for n in ns]
@@ -428,9 +395,9 @@ class ProductCheckReport:
     terminal_diff: object
 
 
-def product_check(path, m: int, n: int, t0, t=None, *, k_max: int = comb.DEFAULT_ORDER_CAP) -> ProductCheckReport:
+def product_check(path, m: int, n: int, t0, t=None) -> ProductCheckReport:
     """Check reconstruct(m) * reconstruct(n) == reconstruct(m+n) on one path."""
-    power = _power_levels(path, m + n, t0, t, k_max=k_max)
+    power = _power_levels(path, m + n, t0, t)
     diff = power(m)[0] * power(n)[0] - power(m + n)[0]
     return ProductCheckReport(m, n, "grid" if isinstance(path, GridPath) else "exact", _sup(diff), _end(diff))
 
@@ -447,7 +414,6 @@ def exact_identity_suite(
     *,
     max_jumps: int = 8,
     float_mode: bool = False,
-    k_max: int = comb.DEFAULT_ORDER_CAP,
 ) -> list[VerificationReport]:
     """Random rational fixtures (jumps, drift, compensators) on (0, 1], all n <= n_max.
 
@@ -455,10 +421,8 @@ def exact_identity_suite(
     """
     if count < 1 or n_max < 1:
         raise EvaluationError(f"the suite needs count >= 1 and n_max >= 1, got count={count}, n_max={n_max}")
-    if n_max > k_max:  # before each fixture draws n_max compensators
-        raise OrderError(f"order too large: {n_max} > cap {k_max}")
-    if max_jumps < 0:
-        raise PathError(f"max_jumps must be >= 0, got {max_jumps}")
+    if not 0 <= max_jumps <= RATIONAL_TICKS:  # before any fixture is drawn
+        raise PathError(f"max_jumps must be in [0, {RATIONAL_TICKS}], got {max_jumps}")
     reports = []
     for f in range(count):
         rng = rng_for(seed, f)
@@ -466,7 +430,7 @@ def exact_identity_suite(
         seed_f = int(rng.integers(0, 2**31))
         path = random_jump_path(nj, 1, seed_f, drift_rate="random", moment_order=max(n_max, 2))
         t0 = Fraction(int(rng.integers(0, 4)), 16)
-        reports += _exact_reports(path, range(1, n_max + 1), t0, Fraction(1), float_mode=float_mode, k_max=k_max)
+        reports += _exact_reports(path, range(1, n_max + 1), t0, Fraction(1), float_mode=float_mode)
     return reports
 
 

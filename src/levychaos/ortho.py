@@ -149,8 +149,7 @@ def orthogonalize(model: LevyModel, N: int, *, exact: bool = False) -> OrthoTria
 
 def _basis_change(exp: Expansion, tri: tuple, new_basis: str, ortho) -> Expansion:
     n = exp.order
-    order_cap = max(n, comb.DEFAULT_ORDER_CAP)
-    new_terms = {theta: TimePolynomial.zero() for theta in comb.index_set(n, k_max=order_cap)}
+    new_terms = {theta: TimePolynomial.zero() for theta in comb.index_set(n)}
     for theta, poly in exp.terms.items():
         if poly.is_zero():
             continue

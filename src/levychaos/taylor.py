@@ -241,15 +241,15 @@ def model_jump_fixtures(
     count: int,
     seed: int,
     *,
-    moment_order: int = comb.DEFAULT_ORDER_CAP,
+    moment_order: int = 12,
 ) -> list[JumpPath]:
     """Finite-jump stand-ins for a model, for exact-substrate studies.
 
     Each fixture carries 1 + Poisson(6) jumps whose sizes follow the
     model's jump flavor (Gamma-distributed for Gamma jump parts), the model's
-    residual drift, and the model's sigma-adjusted moments as declared
-    compensators.  Truncation studies on these fixtures see no discretization
-    error at all.
+    residual drift, and the model's sigma-adjusted moments m1..m_moment_order
+    as declared compensators (a study of total degree D reads m1..mD).
+    Truncation studies on these fixtures see no discretization error at all.
     """
     if not (isinstance(horizon, (int, float, Fraction)) and 0 < horizon < math.inf):
         raise PathError(f"fixture horizon must be a finite number > 0, got {horizon!r}")
@@ -283,20 +283,13 @@ def model_jump_fixtures(
     return fixtures
 
 
-def eval_functional(
-    spec: FunctionalSpec,
-    paths,
-    *,
-    k_max: int = comb.DEFAULT_ORDER_CAP,
-) -> FunctionalReport:
+def eval_functional(spec: FunctionalSpec, paths) -> FunctionalReport:
     """Evaluate the truncated functional pathwise and compare with direct g.
 
     ``paths`` is a single path or a batch; jump paths evaluate exactly, grid
     paths need every grid time aligned to the step.  Terms run by total
     degree, so the report holds every order 0..D.
     """
-    if spec.order > k_max:
-        raise FunctionalError(f"order too large: D={spec.order} > cap {k_max}")
     batch = paths if isinstance(paths, (list, tuple)) else [paths]
     if not batch:
         raise FunctionalError("empty path batch")
@@ -307,7 +300,7 @@ def eval_functional(
     sums, directs = [], []
     for path in batch:
         # powers[k][e]: (X_{t_k} - X_{t_{k-1}})^e, all e <= top from one level-sum pass
-        levels = [_power_levels(path, top, lo, hi, k_max=k_max) for lo, hi in intervals]
+        levels = [_power_levels(path, top, lo, hi) for lo, hi in intervals]
         powers = [[_end(power(e)[0]) for e in range(top + 1)] for power in levels]
         acc, path_sums = 0, []
         for degree_terms in by_degree:

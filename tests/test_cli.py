@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from levychaos import cli
+from levychaos import cli, evaluate
 
 CLI = [sys.executable, "-m", "levychaos.cli"]
 
@@ -165,6 +165,10 @@ class TestErrorHygiene:
             P(["simulate", "--model", GAMMA, "--t", "0.1", "--dt", "1e-2", "--seed", "-1"], None, "paths.invalid",
               id="negative-seed"),
             P(["exact-verify", "--n", "2", "--max-jumps", "-1"], None, "paths.invalid", id="negative-max-jumps"),
+            P(["exact-verify", "--n", "1", "--count", "1", "--max-jumps", "1100"], None, "paths.invalid",
+              id="max-jumps-beyond-the-rational-ticks"),
+            P(["simulate", "--model", GAMMA, "--t", "1", "--dt", "1e-12"], None, "paths.invalid",
+              id="step-count-beyond-the-limit"),
             P(["simulate", "--model", GAMMA, "--t", "1e300", "--dt", "1e-300"], None, "paths.invalid",
               id="step-count-beyond-float"),
             P(["coeffs", "--n", "2", "--model", "gamma:a=1/0,b=2"], None, "models.invalid", id="zero-denominator"),
@@ -212,6 +216,44 @@ def main_with_spec(tmp_path, argv):
         (tmp_path / "spec.json").write_text(json.dumps(EXP_SPEC))
         argv = argv + ["--spec", str(tmp_path / "spec.json")]
     return cli.main(argv + ["--out", str(tmp_path / "x.out")])
+
+
+class TestOrderCapFailsFast:
+    """An order above LEVY_CHAOS_KMAX exits 1 before any model, path or fixture is built."""
+
+    @pytest.fixture(autouse=True)
+    def _nothing_may_be_built(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built before the order check")
+
+        monkeypatch.delenv("LEVY_CHAOS_KMAX", raising=False)
+        for module, name in [(cli, "parse_model"), (cli, "simulate_grid"), (cli, "model_jump_fixtures"),
+                             (evaluate, "simulate_grid")]:
+            monkeypatch.setattr(module, name, refuse)
+
+    @pytest.mark.parametrize(
+        "argv,code,message",
+        [
+            P(["verify", "--model", GAMMA, "--n", "13", "--t", "1", "--dt", "1e-7"], "combinatorics.order",
+              "order too large: 13 > cap 12", id="verify"),
+            P(["convergence", "--model", GAMMA, "--n", "13", "--t", "1", "--dt-list", "1e-6,1e-7"],
+              "combinatorics.order", "order too large: 13 > cap 12", id="convergence"),
+            P(TAYLOR + ["--orders", "13", "--dt", "1e-7"], "taylor.invalid", "order too large: D=13 > cap 12",
+              id="taylor-grid"),
+            P(TAYLOR + ["--orders", "2,13"], "taylor.invalid", "order too large: D=13 > cap 12", id="taylor-exact"),
+            P(["coeffs", "--model", GAMMA, "--n", "13"], "combinatorics.order", "order too large: 13 > cap 12",
+              id="coeffs"),
+            P(["expand", "--model", GAMMA, "--n", "13"], "combinatorics.order", "order too large: 13 > cap 12",
+              id="expand"),
+            P(["exact-verify", "--n", "13"], "combinatorics.order", "order too large: 13 > cap 12",
+              id="exact-verify"),
+        ],
+    )
+    def test_over_cap_order_exits_before_any_work(self, tmp_path, capsys, argv, code, message):
+        assert main_with_spec(tmp_path, argv) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.err) == {"error": code, "message": message}
+        assert captured.out == "" and not (tmp_path / "x.out").exists()
 
 
 class TestFlagTable:

@@ -61,9 +61,9 @@ def test_index_set_nesting(k):
 
 
 def test_index_set_cap():
-    with pytest.raises(OrderError, match="order too large"):
-        index_set(13)
-    assert len(index_set(13, k_max=13)) == 2**13 - 1
+    with pytest.raises(OrderError, match="order too large: 17 > cap 16"):
+        index_set(17)
+    assert len(index_set(13)) == 2**13 - 1
 
 
 def test_exact_sum_compositions_examples():

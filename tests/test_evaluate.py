@@ -5,7 +5,7 @@ import pytest
 
 from levychaos import evaluate
 from levychaos.chaos import Expansion, expand, expand_from_moments, jamshidian_expand
-from levychaos.errors import EvaluationError, MomentError, OrderError, PathError
+from levychaos.errors import EvaluationError, MomentError, PathError
 from levychaos.evaluate import (
     coarsen_grid,
     eval_exact,
@@ -408,16 +408,15 @@ class TestLevelEngineRouting:
 
     @pytest.mark.parametrize(
         "count,n_max,max_jumps,error",
-        [(0, 3, 8, EvaluationError), (3, 0, 8, EvaluationError), (1, 13, 8, OrderError),
-         (1, 3, -1, PathError), (1, 3, 10**6, PathError)],
+        [(0, 3, 8, EvaluationError), (3, 0, 8, EvaluationError),
+         (1, 3, -1, PathError), (1, 3, 1100, PathError), (1, 3, 10**6, PathError)],
     )
     def test_identity_suite_rejects_empty_or_out_of_range_runs(self, count, n_max, max_jumps, error):
         with pytest.raises(error):
             exact_identity_suite(count, n_max, seed=0, max_jumps=max_jumps)
 
-    def test_order_cap_kept(self, gamma_model):
-        path = make_jump_path(1, 0, [(Fraction(1, 2), 1)], (0,) * 6)
-        with pytest.raises(OrderError, match="order too large: 5 > cap 4"):
-            verify_exact(path, 5, Fraction(0), Fraction(1), k_max=4)
-        with pytest.raises(OrderError, match="order too large"):
-            product_check(path, 3, 2, Fraction(0), Fraction(1), k_max=4)
+    def test_level_engine_has_no_order_cap(self):
+        # the engine builds n levels and lists no tuples, so only the CLI bounds n
+        path = make_jump_path(1, Fraction(1, 3), [(Fraction(1, 2), 1)], (Fraction(1, 5),) * 20)
+        assert verify_exact(path, 20, Fraction(0), Fraction(1)).terminal_diff == 0
+        assert product_check(path, 9, 11, Fraction(0), Fraction(1)).terminal_diff == 0

@@ -4,9 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from levychaos import paths
 from levychaos.errors import MomentError, PathError
 from levychaos.models import LevyModel, SyntheticMoments, moments, parse_model, sigma_adjust
 from levychaos.paths import (
+    STEP_LIMIT,
     GridPath,
     grid_csv_rows,
     jump_path_to_json,
@@ -57,6 +59,14 @@ class TestSimulateGrid:
             simulate_grid(gamma_model, 1.0005, 0.01)
         with pytest.raises(PathError, match="synthetic"):
             simulate_grid(LevyModel.build(sigma2=1, jump_part=SyntheticMoments((1,))), 1.0, 0.01)
+
+    def test_step_limit_refused_before_the_draw(self, gamma_model, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("drew before the step count was checked")
+
+        monkeypatch.setattr(paths, "_draw_increments", refuse)
+        with pytest.raises(PathError, match=f"{STEP_LIMIT + 1} grid steps exceed the limit of {STEP_LIMIT}"):
+            simulate_grid(gamma_model, float(STEP_LIMIT + 1), 1.0)
 
     def test_cumulative_recovers_path(self, gamma_model):
         path = simulate_grid(gamma_model, 0.5, 1e-3, seed=1)

@@ -7,7 +7,9 @@ every artifact byte-identical:
 
 Each line is ``<sha256>  <name>``.  A command's stdout and its ``--out``
 file are hashed separately; a command that fails prints ``exit=<code>``
-in place of a hash.
+and the sha256 of its stderr, so error codes and messages are pinned too.
+Leading ``NAME=value`` words of an entry set environment variables, as in
+a shell.
 """
 
 from __future__ import annotations
@@ -56,6 +58,11 @@ GOLDEN = [
     ("taylor-exact", ["taylor", "--spec", "SPEC", "--model", G, "--paths", "32"], False),
     ("taylor-grid", ["taylor", "--spec", "SPEC", "--model", G, "--paths", "8", "--dt", "1e-3"], False),
     ("taylor-exact-orders", ["taylor", "--spec", "SPEC", "--model", G, "--orders", "8,2,0,8", "--paths", "4"], False),
+    ("coeffs-13-over-cap", ["coeffs", "--n", "13", "--model", G], False),
+    ("verify-13-over-cap", ["verify", "--n", "13", "--t", "1", "--dt", "1e-3", "--model", G], True),
+    ("exact-verify-13-over-cap", ["exact-verify", "--n", "13", "--count", "2"], False),
+    ("taylor-13-over-cap", ["taylor", "--spec", "SPEC", "--model", G, "--orders", "2,13", "--paths", "2"], False),
+    ("expand-13-jamshidian-kmax-13", ["LEVY_CHAOS_KMAX=13", "expand", "--n", "13", "--basis", "jamshidian"], False),
 ]
 SPEC = {"kind": "exp", "order": 2, "grid": [0.25, 0.5]}
 
@@ -70,13 +77,17 @@ def main() -> int:
         with open(spec, "w", encoding="utf-8") as fh:
             json.dump(SPEC, fh)
         for name, argv, writes in GOLDEN:
+            env = dict(os.environ)
+            while "=" in argv[0]:
+                key, value = argv[0].split("=", 1)
+                env[key], argv = value, argv[1:]
             argv = [spec if a == "SPEC" else a for a in argv]
             out = os.path.join(work, name + ".out")
             if writes:
                 argv = argv + ["--out", out]
-            res = subprocess.run([sys.executable, "-m", "levychaos.cli", *argv], capture_output=True)
+            res = subprocess.run([sys.executable, "-m", "levychaos.cli", *argv], capture_output=True, env=env)
             if res.returncode:
-                print(f"exit={res.returncode}  {name}")
+                print(f"exit={res.returncode} {_sha(res.stderr)}  {name}")
                 continue
             print(f"{_sha(res.stdout)}  {name}")
             if writes:
