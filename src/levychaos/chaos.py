@@ -231,7 +231,14 @@ def scalar_from_json(x):
     return x
 
 
+def _rendered(polys, render) -> dict:
+    """{id(p): render(p)} over the distinct objects in ``polys``: permutations share one polynomial."""
+    distinct = {id(p): p for p in polys}
+    return {key: render(p) for key, p in distinct.items()}
+
+
 def expansion_to_json_dict(exp: Expansion) -> dict:
+    polys = _rendered(exp.terms.values(), lambda p: [scalar_to_json(c) for c in p.coeffs])
     return {
         "order": exp.order,
         "basis": exp.basis,
@@ -239,40 +246,18 @@ def expansion_to_json_dict(exp: Expansion) -> dict:
         "moments": [scalar_to_json(x) for x in exp.moments.m],
         "sigma2": scalar_to_json(exp.moments.sigma2),
         "constant": [scalar_to_json(c) for c in exp.constant.coeffs],
-        "terms": [
-            {"tuple": list(t), "poly": [scalar_to_json(c) for c in p.coeffs]}
-            for t, p in exp.terms.items()
-        ],
+        "terms": [{"tuple": list(t), "poly": polys[id(p)]} for t, p in exp.terms.items()],
     }
-
-
-def expansion_from_json_dict(data: dict) -> Expansion:
-    terms = {
-        tuple(item["tuple"]): TimePolynomial([scalar_from_json(c) for c in item["poly"]])
-        for item in data["terms"]
-    }
-    mv = MomentVector(
-        tuple(scalar_from_json(x) for x in data["moments"]),
-        scalar_from_json(data["sigma2"]),
-        adjusted=data["sigma_adjusted"],
-    )
-    return Expansion(
-        data["order"],
-        data["basis"],
-        terms,
-        TimePolynomial([scalar_from_json(c) for c in data["constant"]]),
-        mv,
-    )
 
 
 def expansion_csv_rows(exp: Expansion) -> list[list[str]]:
     """One row per term plus a final constant row: tuple, coefficients."""
 
-    def fmt(x):
-        return str(x) if isinstance(x, (Fraction, int)) else repr(x)
+    def fmt(p):
+        return " ".join(str(c) if isinstance(c, (Fraction, int)) else repr(c) for c in p.coeffs)
 
+    polys = _rendered(exp.terms.values(), fmt)
     rows = [["tuple", "coeffs"]]
-    for t, p in exp.terms.items():
-        rows.append([" ".join(map(str, t)), " ".join(fmt(c) for c in p.coeffs)])
-    rows.append(["", " ".join(fmt(c) for c in exp.constant.coeffs)])
+    rows += [[" ".join(map(str, t)), polys[id(p)]] for t, p in exp.terms.items()]
+    rows.append(["", fmt(exp.constant)])
     return rows

@@ -29,9 +29,13 @@ import math
 import os
 import sys
 import tempfile
+from collections import defaultdict
+from collections.abc import Iterable
+from json.encoder import encode_basestring_ascii
 
 from . import combinatorics as comb
 from .chaos import (
+    _rendered,
     coeff_tables,
     expand,
     expansion_csv_rows,
@@ -48,8 +52,8 @@ from .evaluate import (
     verify_grid_sweep,
 )
 from .models import parse_model
-from .ortho import orthogonalize, ortho_to_json_dict, to_h_basis
-from .paths import grid_csv_rows, simulate_grid
+from .ortho import expand_h, orthogonalize, ortho_to_json_dict
+from .paths import grid_csv_chunks, simulate_grid
 from .taylor import eval_functional, functional_from_json, model_jump_fixtures
 
 
@@ -73,11 +77,15 @@ _ORTHO_ORDER_LIMIT = 32
 
 
 def _atomic_write(path: str, text: str) -> None:
+    _atomic_write_chunks(path, (text,))
+
+
+def _atomic_write_chunks(path: str, chunks: Iterable[str]) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".levychaos-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -100,7 +108,67 @@ def _csv_text(rows: list[list[str]]) -> str:
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """``json.dumps(obj, indent=2) + "\\n"``, byte for byte.
+
+    A list or dict that several parents share is rendered once per depth:
+    the ``coeffs`` and ``expand`` payloads hold one coefficient list per
+    multiset under thousands of tuples.
+    """
+    return _json_value(obj, 0, defaultdict(dict)) + "\n"
+
+
+def _json_scalar(o) -> str:
+    """JSON text of a str, int, float, bool or None, as json.dumps writes it."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o == math.inf:
+            return "Infinity"
+        if o == -math.inf:
+            return "-Infinity"
+        return float.__repr__(o)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _json_value(o, depth: int, memo: defaultdict) -> str:
+    """JSON text of ``o`` at nesting ``depth``; ``memo[depth]`` maps id to rendered containers."""
+    if type(o) is int:  # the bulk of the payloads: tuple entries and integer coefficients
+        return int.__repr__(o)
+    if not isinstance(o, (list, tuple, dict)):
+        return _json_scalar(o)
+    rendered = memo[depth]
+    key = id(o)
+    text = rendered.get(key)
+    if text is None:
+        if not o:
+            text = "{}" if isinstance(o, dict) else "[]"
+        else:
+            child = depth + 1
+            if isinstance(o, dict):
+                items = [_json_key(k) + ": " + _json_value(v, child, memo) for k, v in o.items()]
+                ends = "{}"
+            else:
+                items = [int.__repr__(v) if type(v) is int else _json_value(v, child, memo) for v in o]
+                ends = "[]"
+            inner = "\n" + "  " * child
+            text = ends[0] + inner + ("," + inner).join(items) + inner[:-2] + ends[1]
+        rendered[key] = text
+    return text
+
+
+def _json_key(k) -> str:
+    """A dict key as json.dumps writes it: a str as is, any other scalar as its JSON text, quoted."""
+    return encode_basestring_ascii(k if isinstance(k, str) else _json_scalar(k))
 
 
 def _read_json_object(path: str, flag: str) -> dict:
@@ -130,10 +198,9 @@ def _cmd_coeffs(args) -> None:
     n = args.n
     _check_order(n)
     c_list, exp = coeff_tables(n, parse_model(args.model), exact=args.mode == "rational")
-    # every permutation of a multiset shares one Pi object: render each distinct polynomial once
-    distinct = {id(p): p.coeffs for p in [*c_list, *exp.terms.values()]}
+    polys = [*c_list, *exp.terms.values()]
     if args.format == "json":
-        coeffs = {key: [scalar_to_json(x) for x in cs] for key, cs in distinct.items()}
+        coeffs = _rendered(polys, lambda p: [scalar_to_json(x) for x in p.coeffs])
         payload = {
             "order": n,
             "mode": args.mode,
@@ -144,7 +211,7 @@ def _cmd_coeffs(args) -> None:
         }
         _emit(_json_text(payload), args.out)
     else:
-        coeffs = {key: " ".join(str(scalar_to_json(x)) for x in cs) for key, cs in distinct.items()}
+        coeffs = _rendered(polys, lambda p: " ".join(str(scalar_to_json(x)) for x in p.coeffs))
         rows = [["kind", "index", "coeffs"]]
         rows += [["C", str(k), coeffs[id(p)]] for k, p in enumerate(c_list)]
         rows += [["Pi", " ".join(map(str, t)), coeffs[id(p)]] for t, p in exp.terms.items()]
@@ -160,10 +227,7 @@ def _cmd_expand(args) -> None:
         if args.model is None:
             raise ConfigError("the y and h bases require --model")
         model = parse_model(args.model)
-        exp = expand(args.n, model, exact=args.mode == "rational")
-        if basis == "h":
-            ortho = orthogonalize(model, args.n, exact=args.mode == "rational")
-            exp = to_h_basis(exp, ortho)
+        exp = (expand_h if basis == "h" else expand)(args.n, model, exact=args.mode == "rational")
     if args.format == "csv":
         _emit(_csv_text(expansion_csv_rows(exp)), args.out)
     else:
@@ -188,8 +252,11 @@ def _cmd_ortho(args) -> None:
 
 def _cmd_simulate(args) -> None:
     model = parse_model(args.model)
-    path = simulate_grid(model, args.t, args.dt, seed=args.seed)
-    _emit(_csv_text(grid_csv_rows(path)), args.out)
+    chunks = grid_csv_chunks(simulate_grid(model, args.t, args.dt, seed=args.seed))
+    if args.out:
+        _atomic_write_chunks(args.out, chunks)
+    else:
+        sys.stdout.writelines(chunks)
 
 
 def _cmd_verify(args) -> None:

@@ -7,19 +7,31 @@ mu_r = sigma2*[r=0] + m_{r+2}.  Gram-Schmidt runs directly on those moments
 notoriously ill-conditioned, so float mode reorthogonalizes every projection
 and refuses Hankel condition numbers beyond 1e12; exact mode eliminates in
 rational arithmetic.
+
+In the H basis, the expansion of (X_{t+t0} - X_{t0})^n has a closed form.
+Since Pi_theta = n!/((n-s)! prod_j theta_j!) C^(n-s) with s = sum(theta), and
+Y^(i) = sum_{k<=i} b_{i,k} H^(k),
+
+    Pi^H_kappa = sum_{s >= sum(kappa)} n!/(n-s)! C^(n-s) [z^s] prod_j g_{kappa_j}(z),
+    g_k(z) = sum_{i=k..n} b_{i,k} z^i / i!,
+
+with the product truncated at degree n.  Pi^H_kappa reads kappa only through
+its multiset, so :func:`expand_h` builds one polynomial per multiset;
+:func:`to_h_basis` keeps the generic per-tuple change of basis.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 import numpy as np
 
 from . import combinatorics as comb
-from .chaos import Expansion
+from .chaos import Expansion, _per_multiset, c_polys, expand
 from .errors import DegenerateMeasureError, OrderError
-from .models import LevyModel, MomentVector, moments
-from .timepoly import TimePolynomial
+from .models import LevyModel, MomentVector, moments, sigma_adjust
+from .timepoly import TimePolynomial, ratio
 
 FLOAT_ORDER_CAP = 8
 COND_LIMIT = 1e12
@@ -185,6 +197,45 @@ def to_y_basis(exp: Expansion, ortho: OrthoTriangular) -> Expansion:
     if ortho.order < max_part:
         raise OrderError(f"order mismatch: ortho order {ortho.order} < max integrator {max_part}")
     return _basis_change(exp, ortho.a, "Y", None)
+
+
+def expand_h(n: int, model: LevyModel, *, exact: bool = False) -> Expansion:
+    """H-basis expansion of (X_{t+t0} - X_{t0})^n for the given model.
+
+    Float mode is ``to_h_basis(expand(...), orthogonalize(...))``.  Rational
+    mode builds each multiset's coefficient from the generating functions g_k
+    of the module docstring, with the terms in ``index_set`` order; it equals
+    that route term for term.
+    """
+    if not exact:
+        return to_h_basis(expand(n, model), orthogonalize(model, n))
+    comb.check_order(n)  # before the moments, which a huge n would take long to build
+    mv = sigma_adjust(moments(model, max(n, 2), exact=True))
+    c = c_polys(n, mv)
+    ortho = orthogonalize(model, n, exact=True)
+    fact = [math.factorial(i) for i in range(n + 1)]
+    # g[k][i] = b_{i,k} / i!, zero below degree k
+    g = [None] + [[0] * k + [ratio(ortho.entry_b(i, k), fact[i]) for i in range(k, n + 1)] for k in range(1, n + 1)]
+    # products[key] = prod_j g_{key_j}(z) truncated at degree n, for sorted keys
+    products = {(): [1] + [0] * n}
+
+    def coeff(key):
+        k = key[-1]
+        head, gk = products[key[:-1]], g[k]  # index_set lists every smaller sum first
+        prod = products[key] = [0] * (n + 1)
+        for i, hi in enumerate(head):
+            if hi:
+                for j in range(k, n + 1 - i):
+                    prod[i + j] += hi * gk[j]
+        acc = [0] * (n + 1)
+        for s, w in enumerate(prod):
+            if w:
+                w *= fact[n] // fact[n - s]
+                for r, cr in enumerate(c[n - s].coeffs):
+                    acc[r] += w * cr
+        return TimePolynomial(acc)
+
+    return Expansion(n, "H", _per_multiset(comb.index_set(n), coeff), c[n], mv, ortho)
 
 
 def ortho_to_json_dict(ortho: OrthoTriangular) -> dict:

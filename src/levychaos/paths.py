@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -277,21 +277,21 @@ def random_jump_path(
 # --------------------------------------------------------------------------
 
 
-def grid_csv_rows(path: GridPath) -> list[list[str]]:
-    rows = [["step", "t", "dX", "X"]]
-    x = 0.0
-    for l in range(path.steps):
-        x += float(path.dX[l])
-        rows.append([str(l + 1), repr((l + 1) * path.dt), repr(float(path.dX[l])), repr(x)])
-    return rows
+# Rows per chunk of grid CSV text; a chunk's columns as Python lists take a few MB.
+CSV_CHUNK_ROWS = 1 << 16
 
 
-def jump_path_to_json(path: JumpPath) -> dict:
-    from .chaos import scalar_to_json
+def grid_csv_chunks(path: GridPath) -> Iterator[str]:
+    """The path as CSV text (header ``step,t,dX,X``), in chunks of CSV_CHUNK_ROWS rows.
 
-    return {
-        "horizon": scalar_to_json(path.horizon),
-        "drift": scalar_to_json(path.drift_rate),
-        "jumps": [{"t": scalar_to_json(s), "x": scalar_to_json(x)} for s, x in path.jumps],
-        "moments": [scalar_to_json(m) for m in path.mv.m],
-    }
+    t_l = l*dt; X_l = 0.0 + dX_1 + ... + dX_l.  ``np.cumsum`` adds in sequence,
+    so X matches a Python running sum from 0.0 bit for bit (signed zeros too).
+    """
+    yield "step,t,dX,X\n"
+    x = np.cumsum(np.concatenate(([0.0], path.dX)))
+    for start in range(0, path.steps, CSV_CHUNK_ROWS):
+        stop = min(start + CSV_CHUNK_ROWS, path.steps)
+        steps = np.arange(start + 1, stop + 1)
+        columns = steps, steps * path.dt, path.dX[start:stop], x[start + 1:stop + 1]
+        rows = zip(*(column.tolist() for column in columns))
+        yield "".join([f"{l},{t!r},{dx!r},{xl!r}\n" for l, t, dx, xl in rows])

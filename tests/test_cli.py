@@ -1,10 +1,12 @@
 import contextlib
+import gc
 import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -295,6 +297,53 @@ class TestSimulate:
         assert a.returncode == 0
         assert a.stdout == b.stdout
         assert a.stdout.splitlines()[0] == "step,t,dX,X"
+
+    def test_out_file_matches_stdout(self, tmp_path):
+        args = ["simulate", "--model", "gamma:a=10,b=20", "--t", "0.1", "--dt", "1e-3", "--seed", "5"]
+        assert cli.main(args + ["--out", str(tmp_path / "p.csv")]) == 0
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert cli.main(args) == 0
+        assert (tmp_path / "p.csv").read_text(encoding="utf-8") == stdout.getvalue()
+
+
+json_scalars = (
+    st.text()  # non-ASCII and control characters included
+    | st.integers(min_value=-10**40, max_value=10**40)
+    | st.floats()  # -0.0, nan and +-inf included
+    | st.booleans()
+    | st.none()
+)
+json_values = st.recursive(
+    json_scalars, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@st.composite
+def json_payloads(draw):
+    """A JSON value in which one list object sits twice at one depth and again deeper."""
+    shared = draw(st.lists(json_values, max_size=4))
+    return {"value": draw(json_values), "same": [shared, shared], "deeper": [shared, {"k": [shared]}]}
+
+
+class TestJsonText:
+    @settings(max_examples=200, deadline=None)
+    @given(json_values | json_payloads())
+    @example({1: 2, 1.5: [], False: {}, None: "", float("nan"): [[]], "k\u00e9\x00": (1, 2)})
+    def test_matches_json_dumps(self, obj):
+        assert cli._json_text(obj) == json.dumps(obj, indent=2) + "\n"
+
+    def test_leaves_no_reference_cycle(self):
+        shared = ["1/3", 2]
+        payload = {"terms": [{"tuple": [1, 2], "poly": shared}, {"tuple": [2, 1], "poly": shared}]}
+        gc.collect()
+        cli._json_text(payload)
+        assert gc.collect() == 0
+
+    def test_refuses_what_json_dumps_refuses(self):
+        with pytest.raises(TypeError):
+            cli._json_text({"x": [Fraction(1, 3)]})
 
 
 class TestConvergence:

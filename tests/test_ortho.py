@@ -19,6 +19,7 @@ from levychaos.ortho import (
     EtaMoments,
     OrthoTriangular,
     eta_moments,
+    expand_h,
     gram_schmidt,
     invert_to_b,
     ortho_to_json_dict,
@@ -242,6 +243,22 @@ class TestBasisTransforms:
         h = to_h_basis(exp, ortho)
         with pytest.raises(OrderError, match="mismatch"):
             to_h_basis(h, ortho)
+
+
+class TestExpandH:
+    def test_float_mode_is_the_generic_change(self, mixed_model):
+        fast = expand_h(5, mixed_model)
+        slow = to_h_basis(expand(5, mixed_model), orthogonalize(mixed_model, 5))
+        assert fast.terms == slow.terms and fast.constant == slow.constant
+
+    def test_order_checked_before_the_moments(self, monkeypatch, gamma_model):
+        def no_moments(*args, **kwargs):
+            raise AssertionError("moments built")
+
+        monkeypatch.setattr("levychaos.ortho.moments", no_moments)
+        for n in (0, 17):
+            with pytest.raises(OrderError):
+                expand_h(n, gamma_model, exact=True)
 
 
 def expand_like_single_term(mv):

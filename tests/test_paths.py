@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 from fractions import Fraction
 
@@ -10,8 +12,7 @@ from levychaos.models import LevyModel, SyntheticMoments, moments, parse_model, 
 from levychaos.paths import (
     STEP_LIMIT,
     GridPath,
-    grid_csv_rows,
-    jump_path_to_json,
+    grid_csv_chunks,
     make_jump_path,
     power_increments,
     random_jump_path,
@@ -192,17 +193,35 @@ class TestJumpPath:
         assert len({s for s, _ in path.jumps}) == 6
 
 
+def _grid_csv_by_rows(path):
+    """The row loop grid_csv_chunks replaced: a Python running sum, one csv row per step."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["step", "t", "dX", "X"])
+    x = 0.0
+    for l in range(path.steps):
+        x += float(path.dX[l])
+        writer.writerow([str(l + 1), repr((l + 1) * path.dt), repr(float(path.dX[l])), repr(x)])
+    return buf.getvalue()
+
+
 class TestExport:
     def test_grid_csv_schema(self, gamma_model):
         path = simulate_grid(gamma_model, 0.01, 1e-3, seed=1)
-        rows = grid_csv_rows(path)
+        rows = list(csv.reader("".join(grid_csv_chunks(path)).splitlines()))
         assert rows[0] == ["step", "t", "dX", "X"]
         assert len(rows) == 11
         assert float(rows[-1][3]) == pytest.approx(path.dX.sum())
 
-    def test_jump_path_json(self):
-        path = make_jump_path(1, Fraction(1, 3), [(Fraction(1, 2), Fraction(2, 7))], (Fraction(1, 3), 0))
-        data = jump_path_to_json(path)
-        assert data["horizon"] == 1
-        assert data["drift"] == "1/3"
-        assert data["jumps"] == [{"t": "1/2", "x": "2/7"}]
+    @pytest.mark.parametrize("chunk_rows", [1, 3, 7, 1 << 16])
+    def test_grid_csv_matches_the_row_loop(self, monkeypatch, chunk_rows):
+        monkeypatch.setattr(paths, "CSV_CHUNK_ROWS", chunk_rows)
+        model = parse_model("brownian:sigma=0.3+gamma:a=10,b=20")
+        for path in [simulate_grid(model, 0.7, 0.1, seed=2), simulate_grid(model, 1.0, 1e-3, seed=3)]:
+            assert "".join(grid_csv_chunks(path)) == _grid_csv_by_rows(path)
+
+    def test_grid_csv_signed_zero_first_step(self):
+        # the running sum starts at 0.0, and 0.0 + -0.0 is 0.0
+        path = GridPath(0.5, 3, np.array([-0.0, -0.0, 1.5]), 0, 0, None)
+        assert "".join(grid_csv_chunks(path)) == _grid_csv_by_rows(path)
+        assert "".join(grid_csv_chunks(path)).splitlines()[1] == "1,0.5,-0.0,0.0"

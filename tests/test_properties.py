@@ -15,12 +15,13 @@ from levychaos.chaos import (
     expand_from_moments,
     expectation,
     jamshidian_expand,
+    terms_equal,
 )
 from levychaos.combinatorics import index_set
 from levychaos.errors import DegenerateMeasureError
 from levychaos.evaluate import _power_levels, reconstruct
 from levychaos.models import MomentVector, moments, parse_model, sigma_adjust
-from levychaos.ortho import orthogonalize, to_h_basis
+from levychaos.ortho import expand_h, orthogonalize, to_h_basis
 from levychaos.paths import make_jump_path, simulate_grid
 from levychaos.timepoly import TimePolynomial
 
@@ -222,3 +223,22 @@ def test_h_expansion_isometry(spec, n):
         weight = Fraction(math.prod(q[k - 1] for k in kappa), math.factorial(len(kappa)))
         second_moment = second_moment + poly * poly * TimePolynomial.monomial(len(kappa), weight)
     assert second_moment == expectation(2 * n, model, exact=True)
+
+
+@st.composite
+def gamma_brownian_specs(draw):
+    return f"gamma:a={draw(positive)},b={draw(positive)}+brownian:sigma={draw(positive)}"
+
+
+@settings(max_examples=25, deadline=None)
+@given(gamma_brownian_specs(), st.integers(min_value=1, max_value=8))
+def test_expand_h_matches_the_generic_basis_change(spec, n):
+    """The generating-function H expansion equals b applied term by term to the Y expansion."""
+    model = parse_model(spec)
+    fast = expand_h(n, model, exact=True)
+    slow = to_h_basis(expand(n, model, exact=True), orthogonalize(model, n, exact=True))
+    assert terms_equal(fast, slow) and list(fast.terms) == list(slow.terms)
+    assert fast.basis == "H" and fast.moments == slow.moments and fast.ortho == slow.ortho
+    by_multiset = {}
+    for theta, poly in fast.terms.items():
+        assert by_multiset.setdefault(tuple(sorted(theta)), poly) is poly

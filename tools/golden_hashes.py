@@ -63,6 +63,11 @@ GOLDEN = [
     ("exact-verify-13-over-cap", ["exact-verify", "--n", "13", "--count", "2"], False),
     ("taylor-13-over-cap", ["taylor", "--spec", "SPEC", "--model", G, "--orders", "2,13", "--paths", "2"], False),
     ("expand-13-jamshidian-kmax-13", ["LEVY_CHAOS_KMAX=13", "expand", "--n", "13", "--basis", "jamshidian"], False),
+    ("expand-12-h-rational", ["expand", "--n", "12", "--basis", "h", "--mode", "rational", "--model", MIXED], False),
+    ("expand-8-h-float", ["expand", "--n", "8", "--basis", "h", "--model", MIXED], False),
+    ("expand-8-h-rational-csv",
+     ["expand", "--n", "8", "--basis", "h", "--mode", "rational", "--format", "csv", "--model", G], False),
+    ("simulate-gamma-1e5", ["simulate", "--model", G, "--t", "1", "--dt", "1e-5", "--seed", "4"], False),
 ]
 SPEC = {"kind": "exp", "order": 2, "grid": [0.25, 0.5]}
 
