@@ -20,7 +20,6 @@ from .evaluate import (
     eval_grid,
     product_check,
     reconstruct,
-    verify,
     verify_exact,
     verify_grid,
 )

@@ -185,27 +185,22 @@ def jamshidian_expand(n: int) -> Expansion:
 class PrmIntegrandDescriptor:
     """One Poisson-random-measure integrand: monomial exponents + coefficient.
 
-    ``exponents`` equals ``tuple`` and follows the module convention:
-    ``exponents[0]`` is the power applied to the jump size paired with the
+    ``tuple`` holds the monomial exponents and follows the module convention:
+    ``tuple[0]`` is the power applied to the jump size paired with the
     innermost (earliest-time) variable.  The coefficient is the same
     elapsed-time polynomial as the Y-basis term for ``tuple`` and involves
     neither the start time nor any integration variable.
     """
 
     tuple: comb.IndexTuple
-    exponents: comb.IndexTuple
     coefficient: TimePolynomial
-
-    def __post_init__(self):
-        if self.exponents != self.tuple:
-            raise BasisError("descriptor exponents must equal the index tuple")
 
 
 def prm_integrands(n: int, model: LevyModel, *, exact: bool = False) -> list[PrmIntegrandDescriptor]:
     """Integrand descriptors for the random-measure form of the expansion."""
     exp = expand(n, model, exact=exact)
     return [
-        PrmIntegrandDescriptor(theta, theta, poly)
+        PrmIntegrandDescriptor(theta, poly)
         for theta, poly in exp.terms.items()
     ]
 

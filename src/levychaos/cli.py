@@ -53,7 +53,7 @@ from .evaluate import (
 )
 from .models import parse_model
 from .ortho import expand_h, orthogonalize, ortho_to_json_dict
-from .paths import grid_csv_chunks, simulate_grid
+from .paths import grid_csv_chunks, simulate_batch, simulate_grid
 from .taylor import eval_functional, functional_from_json, model_jump_fixtures
 
 
@@ -311,7 +311,7 @@ def _cmd_taylor(args) -> None:
     model = parse_model(args.model)
     rows = [["order", "paths", "substrate", "mean_abs_error", "max_abs_error"]]
     if args.dt is not None:
-        batch = [simulate_grid(model, grid[-1], args.dt, args.seed, i) for i in range(args.paths)]
+        batch = simulate_batch(model, grid[-1], args.dt, args.paths, args.seed)
         substrate = "grid"
     else:
         batch = model_jump_fixtures(model, grid[-1], args.paths, args.seed, moment_order=top)

@@ -15,7 +15,7 @@ from typing import Iterator, Sequence
 from .errors import OrderError
 
 # Largest order whose tuples the library lists: order 16 already walks
-# 2^16 - 1 tuples (a rational coeffs takes about 2.1 s and 160 MB on a 2-CPU
+# 2^16 - 1 tuples (a rational coeffs takes about 1.4 s and 154 MB on a 2-CPU
 # Xeon), and each +2 costs about 4x.  The level engine lists none and has no cap.
 ORDER_LIMIT = 16
 

@@ -29,7 +29,7 @@ from .chaos import Expansion, c_polys, scalar_to_json
 from .errors import EvaluationError, OrderError, PathError
 from .models import LevyModel, model_label, moments, sigma_adjust
 from .paths import GridPath, JumpPath, grid_index, power_increments, random_jump_path, rng_for
-from .paths import RATIONAL_TICKS, simulate_grid
+from .paths import RATIONAL_TICKS, check_batch, simulate_grid
 from .timepoly import TimePolynomial
 
 # --------------------------------------------------------------------------
@@ -375,17 +375,6 @@ def _exact_reports(path: JumpPath, ns, t0, t, *, float_mode: bool) -> list[Verif
     return [_verification(power, p, n, t0, t, increment**n, provenance) for n in ns]
 
 
-def verify(target, n: int, t0, t, dt=None, seed: int = 0, **kw) -> VerificationReport:
-    """Dispatch on substrate: LevyModel -> grid run, JumpPath -> exact check."""
-    if isinstance(target, LevyModel):
-        if dt is None:
-            raise EvaluationError("grid verification needs dt")
-        return verify_grid(target, n, t0, t, dt, seed, **kw)
-    if isinstance(target, JumpPath):
-        return verify_exact(target, n, t0, t, **kw)
-    raise EvaluationError(f"cannot verify against {type(target).__name__}")
-
-
 @dataclass(eq=False)
 class ProductCheckReport:
     m: int
@@ -423,6 +412,7 @@ def exact_identity_suite(
         raise EvaluationError(f"the suite needs count >= 1 and n_max >= 1, got count={count}, n_max={n_max}")
     if not 0 <= max_jumps <= RATIONAL_TICKS:  # before any fixture is drawn
         raise PathError(f"max_jumps must be in [0, {RATIONAL_TICKS}], got {max_jumps}")
+    check_batch(count)
     reports = []
     for f in range(count):
         rng = rng_for(seed, f)

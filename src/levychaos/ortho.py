@@ -144,9 +144,6 @@ class OrthoTriangular:
     def order(self) -> int:
         return len(self.a)
 
-    def entry_a(self, i: int, j: int):
-        return self.a[i - 1][j - 1]
-
     def entry_b(self, n: int, k: int):
         return self.b[n - 1][k - 1]
 

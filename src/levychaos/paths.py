@@ -124,10 +124,41 @@ def _draw_increments(model: LevyModel, h: float, count: int, rng: np.random.Gene
     return out
 
 
-# Most steps one grid path may hold, checked before any draw.  At this limit
-# `simulate` takes about 5.6 s and 490 MB and `verify --n 12` about 10 s and
-# 760 MB on a 2-CPU Xeon; cost grows linearly in the step count.
+# Most steps one grid path, or one batch of grid paths in all, may hold,
+# checked before any draw.  At this limit, on a 2-CPU Xeon, `simulate` takes
+# about 3 s and 76 MB; `verify --n 12` 1.2 s and 280 MB, or 12 s and 750 MB
+# with `--out`, whose diff CSV is built row by row; and a grid `taylor` study
+# of 1000 paths of 1000 steps 2.2 s and 44 MB.  Cost grows linearly in the
+# step count.
 STEP_LIMIT = 10**6
+
+# Most paths one batch may hold: grid paths or exact fixtures, checked before
+# any draw.  At this limit, on a 2-CPU Xeon, `exact-verify --n 12` at the
+# default `--max-jumps 8` takes about 38 s and 56 MB, and `taylor` on a
+# 2-interval exp spec 3.2 s and 40 MB on exact fixtures.  Cost grows linearly
+# in the count.
+PATH_LIMIT = 1000
+
+
+def check_batch(count: int, steps: int = 0) -> None:
+    """Refuse more than PATH_LIMIT paths, or ``count`` paths of ``steps`` steps above STEP_LIMIT in all."""
+    if count > PATH_LIMIT:
+        raise PathError(f"{count} paths exceed the limit of {PATH_LIMIT}")
+    if count * steps > STEP_LIMIT:
+        raise PathError(f"{count} paths of {steps} steps exceed the limit of {STEP_LIMIT} steps in all: "
+                        "use fewer paths or a larger dt")
+
+
+def _grid_steps(T: float, dt: float) -> int:
+    """Step count of a grid over [0, T], refused above STEP_LIMIT."""
+    if dt <= 0:
+        raise PathError("nonpositive dt")
+    if T < dt:
+        raise PathError(f"horizon {T} shorter than one step {dt}")
+    steps = grid_index(T, dt, "horizon")
+    if steps > STEP_LIMIT:
+        raise PathError(f"{steps} grid steps exceed the limit of {STEP_LIMIT}: use a larger dt or a shorter horizon")
+    return steps
 
 
 def simulate_grid(
@@ -138,15 +169,15 @@ def simulate_grid(
     path_index: int = 0,
 ) -> GridPath:
     """Per-step increments of X over [0, T]; deterministic given (seed, path_index)."""
-    if dt <= 0:
-        raise PathError("nonpositive dt")
-    if T < dt:
-        raise PathError(f"horizon {T} shorter than one step {dt}")
-    steps = grid_index(T, dt, "horizon")
-    if steps > STEP_LIMIT:
-        raise PathError(f"{steps} grid steps exceed the limit of {STEP_LIMIT}: use a larger dt or a shorter horizon")
+    steps = _grid_steps(T, dt)
     dX = _draw_increments(model, dt, steps, rng_for(seed, path_index))
     return GridPath(float(dt), steps, dX, seed, path_index, model)
+
+
+def simulate_batch(model: LevyModel, T: float, dt: float, count: int, seed: int = 0) -> list[GridPath]:
+    """Grid paths 0..count-1 of ``seed`` over [0, T]; the batch is checked before any draw."""
+    check_batch(count, _grid_steps(T, dt))
+    return [simulate_grid(model, T, dt, seed, i) for i in range(count)]
 
 
 def power_increments(path: GridPath, i: int, mv_adjusted: MomentVector) -> np.ndarray:

@@ -27,7 +27,7 @@ from . import combinatorics as comb
 from .errors import FunctionalError, PathError
 from .evaluate import _end, _power_levels, reconstruct  # noqa: F401  (bench/tracer.py looks reconstruct up here)
 from .models import CompoundPoisson, GammaJumps, LevyModel, jump_mean_rate, moments, sigma_adjust
-from .paths import JumpPath, grid_index, make_jump_path, rng_for, sample_jump_law
+from .paths import JumpPath, check_batch, grid_index, make_jump_path, rng_for, sample_jump_law
 
 
 @dataclass(frozen=True)
@@ -253,6 +253,7 @@ def model_jump_fixtures(
     """
     if not (isinstance(horizon, (int, float, Fraction)) and 0 < horizon < math.inf):
         raise PathError(f"fixture horizon must be a finite number > 0, got {horizon!r}")
+    check_batch(count)
     mv = sigma_adjust(moments(model, max(moment_order, 2)))
     drift = float(model.mean_rate) - float(jump_mean_rate(model.jump_part))
     fixtures = []

@@ -43,23 +43,9 @@ class TimePolynomial:
     def constant(c) -> "TimePolynomial":
         return TimePolynomial((c,))
 
-    @staticmethod
-    def monomial(power: int, c=1) -> "TimePolynomial":
-        return TimePolynomial((0,) * power + (c,))
-
     # -- queries -------------------------------------------------------
-    @property
-    def degree(self) -> int:
-        """Degree, with the zero polynomial reported as -1."""
-        return len(self.coeffs) - 1
-
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def coefficient(self, power: int):
-        if 0 <= power < len(self.coeffs):
-            return self.coeffs[power]
-        return 0
 
     def __call__(self, t):
         acc = 0
@@ -102,7 +88,3 @@ class TimePolynomial:
     # -- conversions ----------------------------------------------------
     def to_float(self) -> "TimePolynomial":
         return TimePolynomial(tuple(float(c) for c in self.coeffs))
-
-    def padded(self, length: int) -> tuple:
-        """Coefficients padded with zeros up to ``length`` entries."""
-        return self.coeffs + (0,) * (length - len(self.coeffs))

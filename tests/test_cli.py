@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from levychaos import cli, evaluate
+from levychaos import cli, evaluate, paths, taylor
 
 CLI = [sys.executable, "-m", "levychaos.cli"]
 
@@ -193,6 +193,31 @@ class TestErrorHygiene:
         leftovers = {p.name for p in tmp_path.iterdir()} - {"spec.json"}
         assert not leftovers  # no temp leftovers either
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            P(TAYLOR + ["--paths", "100000000", "--dt", "1e-3"], "100000000 paths exceed the limit of 1000",
+              id="taylor-grid-paths"),
+            P(TAYLOR + ["--paths", "64", "--dt", "1e-5"], "64 paths of 50000 steps exceed the limit of 1000000 steps",
+              id="taylor-grid-steps"),
+            P(TAYLOR + ["--paths", "100000000"], "100000000 paths exceed the limit of 1000", id="taylor-exact-paths"),
+            P(["exact-verify", "--n", "1", "--count", "1000000000"], "1000000000 paths exceed the limit of 1000",
+              id="exact-verify-count"),
+        ],
+    )
+    def test_batch_beyond_the_limit_exits_before_any_draw(self, tmp_path, capsys, monkeypatch, argv, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("drawn before the batch check")
+
+        for module, name in [(paths, "simulate_grid"), (evaluate, "random_jump_path"), (evaluate, "rng_for"),
+                             (taylor, "rng_for")]:
+            monkeypatch.setattr(module, name, refuse)
+        assert main_with_spec(tmp_path, argv) == 1
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)
+        assert err["error"] == "paths.invalid" and message in err["message"]
+        assert captured.out == "" and not (tmp_path / "x.out").exists()
+
     def test_coarsen_error_names_the_step_not_the_factor(self, capsys):
         assert cli.main(CONVERGENCE + ["1e-2,1e300"]) == 1
         err = json.loads(capsys.readouterr().err)
@@ -229,8 +254,8 @@ class TestOrderCapFailsFast:
             raise AssertionError("built before the order check")
 
         monkeypatch.delenv("LEVY_CHAOS_KMAX", raising=False)
-        for module, name in [(cli, "parse_model"), (cli, "simulate_grid"), (cli, "model_jump_fixtures"),
-                             (evaluate, "simulate_grid")]:
+        for module, name in [(cli, "parse_model"), (cli, "simulate_grid"), (cli, "simulate_batch"),
+                             (cli, "model_jump_fixtures"), (evaluate, "simulate_grid")]:
             monkeypatch.setattr(module, name, refuse)
 
     @pytest.mark.parametrize(
@@ -521,11 +546,9 @@ class TestConfigFile:
 
 
 # Values drawn for each flag: valid ones, and NaN, infinite, negative, huge and
-# non-numeric ones.  --count and --paths stay small: their cost is linear in the
-# value, so a huge one is a long valid run, not a bad input.
+# non-numeric ones.
 FLOATS = ["0", "0.05", "0.5", "1", "-1", "nan", "inf", "-inf", "1e300", "1e-300", "x"]
 INTS = ["0", "1", "2", "3", "-1", "1000000", "1e300", "nan", "x"]
-SMALL = ["0", "1", "2", "-1", "nan", "x"]
 FUZZ_VALUES = {
     "--model": [GAMMA, "brownian:sigma=1", "cpoisson:lambda=1,jump=expsign:3:1", "gamma:a=1/0,b=2",
                 "gamma:a=1e400,b=1", "drift:mu=0", "x"],
@@ -534,7 +557,7 @@ FUZZ_VALUES = {
     "--basis": ["y", "h", "jamshidian", "q"],
     "--n": INTS, "--order": INTS, "--max-jumps": INTS,
     "--seed": INTS + ["99999999999999999999"],
-    "--count": SMALL, "--paths": SMALL,
+    "--count": INTS, "--paths": INTS,
     "--t0": FLOATS, "--t": FLOATS, "--dt": FLOATS,
     "--dt-list": ["0.05", "0.05,0.5", "1e-300,0.5", "0.05,1e300", "0.05,nan", "-1", "0", "x", ""],
     "--orders": ["2", "2,4", "-1", "1000000", "nan", "", "x"],

@@ -16,13 +16,12 @@ from levychaos.evaluate import (
     product_check,
     reconstruct,
     report_to_json_dict,
-    verify,
     verify_exact,
     verify_grid,
     verify_grid_sweep,
     verify_on_grid_path,
 )
-from levychaos.models import LevyModel, MomentVector, moments, sigma_adjust
+from levychaos.models import LevyModel, MomentVector, SyntheticMoments, moments, sigma_adjust
 from levychaos.ortho import orthogonalize, to_h_basis
 from levychaos.paths import GridPath, make_jump_path, random_jump_path, simulate_grid
 from levychaos.taylor import eval_functional, exp_functional, model_jump_fixtures
@@ -235,14 +234,16 @@ class TestVerify:
         rep = verify_grid(gamma_model, 0, 0.0, 0.05, 1e-2, seed=1)
         assert rep.max_abs_diff == 0.0
 
-    def test_dispatcher(self, gamma_model):
-        rep = verify(gamma_model, 2, 0.0, 0.1, dt=1e-2, seed=5)
-        assert rep.substrate == "grid"
-        path = make_jump_path(1, 0, [(Fraction(1, 2), 2)], (0, 0))
-        rep2 = verify(path, 2, Fraction(0), Fraction(1))
-        assert rep2.substrate == "exact" and rep2.terminal_diff == 0
-        with pytest.raises(EvaluationError, match="needs dt"):
-            verify(gamma_model, 2, 0.0, 0.1)
+    @pytest.mark.parametrize("dt", [1e-3, 0.37, 2.0])
+    def test_zero_moment_grid_levels_are_exact_powers(self, dt):
+        # With every m_i = 0 the level recursion is the discrete binomial identity,
+        # so V_n = (X_t - X_t0)^n on any grid; small-integer steps keep float64 exact.
+        model = LevyModel(0, 0, SyntheticMoments((0,) * 10))
+        dX = np.random.default_rng(5).integers(-2, 3, size=30).astype(float)
+        path = GridPath(dt, len(dX), dX, 0, 0, model)
+        for t0 in (0.0, 7 * dt):
+            for n in range(1, 9):
+                assert verify_on_grid_path(path, n, t0).max_abs_diff == 0.0
 
     def test_grid_report_fields(self, gamma_model):
         rep = verify_grid(gamma_model, 2, 0.05, 0.2, 1e-2, seed=5)

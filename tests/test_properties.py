@@ -197,7 +197,7 @@ def test_y_expansion_isometry(spec, n):
         for theta, p in terms:
             for theta2, q in terms:
                 acc = acc + (p * q).scale(math.prod(m(i + j) for i, j in zip(theta, theta2)))
-        second_moment = second_moment + acc * TimePolynomial.monomial(k, Fraction(1, math.factorial(k)))
+        second_moment = second_moment + acc * TimePolynomial((0,) * k + (Fraction(1, math.factorial(k)),))
     assert second_moment == expectation(2 * n, model, exact=True)
 
 
@@ -221,7 +221,7 @@ def test_h_expansion_isometry(spec, n):
     second_moment = exp.constant * exp.constant
     for kappa, poly in exp.terms.items():
         weight = Fraction(math.prod(q[k - 1] for k in kappa), math.factorial(len(kappa)))
-        second_moment = second_moment + poly * poly * TimePolynomial.monomial(len(kappa), weight)
+        second_moment = second_moment + poly * poly * TimePolynomial((0,) * len(kappa) + (weight,))
     assert second_moment == expectation(2 * n, model, exact=True)
 
 
