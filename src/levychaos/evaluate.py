@@ -395,6 +395,14 @@ def product_check(path, m: int, n: int, t0, t=None) -> ProductCheckReport:
 # fixture suite shared by the CLI and the acceptance tests
 # --------------------------------------------------------------------------
 
+# Most jumps one suite may allow in all, count x max_jumps, checked before any
+# fixture is drawn.  A fixture's cost grows with its jumps, so PATH_LIMIT and
+# RATIONAL_TICKS alone would admit 1000 fixtures of up to 1024 jumps (about 40
+# minutes, extrapolated).  At this limit, on a 2-CPU Xeon, `exact-verify --n 12`
+# takes about 37 s and 56 MB with `--count 1000` at the default `--max-jumps 8`,
+# and 20 s and 47 MB with `--count 8 --max-jumps 1000`.
+SUITE_JUMP_LIMIT = 8000
+
 
 def exact_identity_suite(
     count: int,
@@ -413,6 +421,9 @@ def exact_identity_suite(
     if not 0 <= max_jumps <= RATIONAL_TICKS:  # before any fixture is drawn
         raise PathError(f"max_jumps must be in [0, {RATIONAL_TICKS}], got {max_jumps}")
     check_batch(count)
+    if count * max_jumps > SUITE_JUMP_LIMIT:
+        raise PathError(f"{count} fixtures of up to {max_jumps} jumps exceed the limit of {SUITE_JUMP_LIMIT} "
+                        "jumps in all: use fewer fixtures or fewer jumps")
     reports = []
     for f in range(count):
         rng = rng_for(seed, f)

@@ -1,10 +1,6 @@
-import contextlib
 import gc
-import io
 import json
 import os
-import subprocess
-import sys
 import tempfile
 from fractions import Fraction
 
@@ -12,18 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import run_cli, run_process
 from levychaos import cli, evaluate, paths, taylor
-
-CLI = [sys.executable, "-m", "levychaos.cli"]
-
-
-def run_cli(args, env=None):
-    import os
-
-    full_env = dict(os.environ)
-    if env:
-        full_env.update(env)
-    return subprocess.run(CLI + args, capture_output=True, text=True, env=full_env)
 
 
 class TestCoeffs:
@@ -91,8 +77,8 @@ class TestVerifyCommand:
     def test_byte_identical_reruns(self, tmp_path):
         args = ["verify", "--model", "gamma:a=10,b=20", "--n", "3", "--t0", "0", "--t", "0.1",
                 "--dt", "1e-2", "--seed", "9"]
-        a = run_cli(args + ["--out", str(tmp_path / "a.csv")])
-        b = run_cli(args + ["--out", str(tmp_path / "b.csv")])
+        a = run_process(args + ["--out", str(tmp_path / "a.csv")])
+        b = run_process(args + ["--out", str(tmp_path / "b.csv")])
         assert a.stdout == b.stdout
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
@@ -203,24 +189,27 @@ class TestErrorHygiene:
             P(TAYLOR + ["--paths", "100000000"], "100000000 paths exceed the limit of 1000", id="taylor-exact-paths"),
             P(["exact-verify", "--n", "1", "--count", "1000000000"], "1000000000 paths exceed the limit of 1000",
               id="exact-verify-count"),
+            P(["exact-verify", "--n", "1", "--count", "1000", "--max-jumps", "1024"],
+              "1000 fixtures of up to 1024 jumps exceed the limit of 8000 jumps in all", id="exact-verify-jumps"),
         ],
     )
-    def test_batch_beyond_the_limit_exits_before_any_draw(self, tmp_path, capsys, monkeypatch, argv, message):
+    def test_batch_beyond_the_limit_exits_before_any_draw(self, tmp_path, monkeypatch, argv, message):
         def refuse(*args, **kwargs):
             raise AssertionError("drawn before the batch check")
 
         for module, name in [(paths, "simulate_grid"), (evaluate, "random_jump_path"), (evaluate, "rng_for"),
                              (taylor, "rng_for")]:
             monkeypatch.setattr(module, name, refuse)
-        assert main_with_spec(tmp_path, argv) == 1
-        captured = capsys.readouterr()
-        err = json.loads(captured.err)
+        res = run_with_spec(tmp_path, argv)
+        assert res.returncode == 1
+        err = json.loads(res.stderr)
         assert err["error"] == "paths.invalid" and message in err["message"]
-        assert captured.out == "" and not (tmp_path / "x.out").exists()
+        assert res.stdout == "" and not (tmp_path / "x.out").exists()
 
-    def test_coarsen_error_names_the_step_not_the_factor(self, capsys):
-        assert cli.main(CONVERGENCE + ["1e-2,1e300"]) == 1
-        err = json.loads(capsys.readouterr().err)
+    def test_coarsen_error_names_the_step_not_the_factor(self):
+        res = run_cli(CONVERGENCE + ["1e-2,1e300"])
+        assert res.returncode == 1
+        err = json.loads(res.stderr)
         assert err["error"] == "paths.invalid" and "coarsen" in err["message"]
         assert len(err["message"]) < 200
 
@@ -230,6 +219,17 @@ class TestErrorHygiene:
         assert json.loads(res.stderr)["error"] == "cli.config"
 
 
+class TestEntryPoint:
+    def test_python_m_exits_with_the_status_main_returns(self, tmp_path):
+        out = tmp_path / "x.csv"
+        bad = run_process(VERIFY + ["--t", "0.1", "--dt", "nan", "--out", str(out)])
+        assert bad.returncode == 1 and "Traceback" not in bad.stderr
+        assert set(json.loads(bad.stderr)) == {"error", "message"}
+        assert not out.exists()
+        good = run_process(VERIFY + ["--t", "0.1", "--dt", "1e-2", "--out", str(out)])
+        assert good.returncode == 0 and out.exists()
+
+
 SIMULATE = ["simulate", "--model", GAMMA, "--t", "0.1", "--dt", "1e-2"]
 VERIFY_RUN = VERIFY + ["--t", "0.1", "--dt", "1e-2"]
 CONVERGENCE_RUN = CONVERGENCE + ["1e-2"]
@@ -237,12 +237,12 @@ EXACT_VERIFY = ["exact-verify", "--n", "2", "--count", "2"]
 EXP_SPEC = {"kind": "exp", "grid": [0.5]}
 
 
-def main_with_spec(tmp_path, argv):
-    """Run ``cli.main`` in process, giving taylor a spec file and every command an --out file."""
+def run_with_spec(tmp_path, argv, spec=EXP_SPEC):
+    """Run the CLI, giving taylor a spec file and every command an --out file, ``x.out``."""
     if argv and argv[0] == "taylor":
-        (tmp_path / "spec.json").write_text(json.dumps(EXP_SPEC))
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
         argv = argv + ["--spec", str(tmp_path / "spec.json")]
-    return cli.main(argv + ["--out", str(tmp_path / "x.out")])
+    return run_cli(argv + ["--out", str(tmp_path / "x.out")])
 
 
 class TestOrderCapFailsFast:
@@ -276,11 +276,11 @@ class TestOrderCapFailsFast:
               id="exact-verify"),
         ],
     )
-    def test_over_cap_order_exits_before_any_work(self, tmp_path, capsys, argv, code, message):
-        assert main_with_spec(tmp_path, argv) == 1
-        captured = capsys.readouterr()
-        assert json.loads(captured.err) == {"error": code, "message": message}
-        assert captured.out == "" and not (tmp_path / "x.out").exists()
+    def test_over_cap_order_exits_before_any_work(self, tmp_path, argv, code, message):
+        res = run_with_spec(tmp_path, argv)
+        assert res.returncode == 1
+        assert json.loads(res.stderr) == {"error": code, "message": message}
+        assert res.stdout == "" and not (tmp_path / "x.out").exists()
 
 
 class TestFlagTable:
@@ -302,34 +302,34 @@ class TestFlagTable:
             P(SIMULATE + ["--t0", "0.05"], id="simulate-t0"),
         ],
     )
-    def test_flag_the_command_does_not_read_is_rejected(self, tmp_path, capsys, argv):
-        assert main_with_spec(tmp_path, argv) == 1
-        err = json.loads(capsys.readouterr().err)
+    def test_flag_the_command_does_not_read_is_rejected(self, tmp_path, argv):
+        res = run_with_spec(tmp_path, argv)
+        assert res.returncode == 1
+        err = json.loads(res.stderr)
         assert err["error"] == "cli.config" and "unrecognized arguments" in err["message"]
         assert not (tmp_path / "x.out").exists()
 
     @pytest.mark.parametrize("argv", [SIMULATE, VERIFY_RUN, CONVERGENCE_RUN, EXACT_VERIFY, TAYLOR])
     def test_same_command_without_the_flag_runs(self, tmp_path, argv):
-        assert main_with_spec(tmp_path, argv) == 0
+        assert run_with_spec(tmp_path, argv).returncode == 0
         assert (tmp_path / "x.out").exists()
 
 
 class TestSimulate:
     def test_csv_schema_and_determinism(self, tmp_path):
         args = ["simulate", "--model", "brownian:sigma=1", "--t", "0.05", "--dt", "1e-2", "--seed", "3"]
-        a = run_cli(args)
-        b = run_cli(args)
+        a = run_process(args)
+        b = run_process(args)
         assert a.returncode == 0
         assert a.stdout == b.stdout
         assert a.stdout.splitlines()[0] == "step,t,dX,X"
 
     def test_out_file_matches_stdout(self, tmp_path):
         args = ["simulate", "--model", "gamma:a=10,b=20", "--t", "0.1", "--dt", "1e-3", "--seed", "5"]
-        assert cli.main(args + ["--out", str(tmp_path / "p.csv")]) == 0
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout):
-            assert cli.main(args) == 0
-        assert (tmp_path / "p.csv").read_text(encoding="utf-8") == stdout.getvalue()
+        assert run_cli(args + ["--out", str(tmp_path / "p.csv")]).returncode == 0
+        res = run_cli(args)
+        assert res.returncode == 0
+        assert (tmp_path / "p.csv").read_text(encoding="utf-8") == res.stdout
 
 
 json_scalars = (
@@ -430,10 +430,9 @@ class TestOrtho:
         monkeypatch.setattr(cli, "orthogonalize", no_moments)
         out = tmp_path / "ortho.json"
         argv = ["ortho", "--model", GAMMA, "--order", str(order), "--mode", "rational", "--out", str(out)]
-        stderr = io.StringIO()
-        with contextlib.redirect_stderr(stderr):
-            assert cli.main(argv) == 1
-        err = json.loads(stderr.getvalue())
+        res = run_cli(argv)
+        assert res.returncode == 1
+        err = json.loads(res.stderr)
         assert err["error"] == "combinatorics.order"
         assert f"{order} > ortho limit {cli._ORTHO_ORDER_LIMIT}" in err["message"]
         assert not out.exists()
@@ -442,7 +441,7 @@ class TestOrtho:
         out = tmp_path / "ortho.json"
         argv = ["ortho", "--model", "brownian:sigma=1+gamma:a=1,b=1", "--order", str(cli._ORTHO_ORDER_LIMIT),
                 "--mode", "rational", "--out", str(out)]
-        assert cli.main(argv) == 0
+        assert run_cli(argv).returncode == 0
         assert json.loads(out.read_text())["order"] == cli._ORTHO_ORDER_LIMIT
 
 
@@ -462,10 +461,8 @@ class TestTaylorCommand:
         assert rows[1][2] == "exact"
 
     def _rows(self, tmp_path, orders):
-        (tmp_path / "spec.json").write_text(json.dumps(EXP_SPEC))
-        out = tmp_path / "taylor.csv"
-        argv = TAYLOR + ["--spec", str(tmp_path / "spec.json"), "--orders", orders, "--out", str(out)]
-        assert cli.main(argv) == 0
+        res, out = self._run_spec(tmp_path, EXP_SPEC, orders)
+        assert res.returncode == 0
         return out.read_text().splitlines()
 
     def test_unsorted_repeated_orders_keep_one_row_each(self, tmp_path):
@@ -478,36 +475,34 @@ class TestTaylorCommand:
         assert self._rows(tmp_path, "") == ["order,paths,substrate,mean_abs_error,max_abs_error"]
 
     @pytest.mark.parametrize("orders", ["4,-1", "4,13"])
-    def test_order_outside_the_study_fails(self, tmp_path, capsys, orders):
-        assert main_with_spec(tmp_path, TAYLOR + ["--orders", orders]) == 1
-        err = json.loads(capsys.readouterr().err)
+    def test_order_outside_the_study_fails(self, tmp_path, orders):
+        res = run_with_spec(tmp_path, TAYLOR + ["--orders", orders])
+        assert res.returncode == 1
+        err = json.loads(res.stderr)
         assert err["error"] == "taylor.invalid"
         assert not (tmp_path / "x.out").exists()
 
     def _run_spec(self, tmp_path, spec, orders):
-        (tmp_path / "spec.json").write_text(json.dumps(spec))
-        out = tmp_path / "taylor.csv"
-        code = cli.main(TAYLOR + ["--spec", str(tmp_path / "spec.json"), "--orders", orders, "--out", str(out)])
-        return code, out
+        return run_with_spec(tmp_path, TAYLOR + ["--orders", orders], spec), tmp_path / "x.out"
 
     def test_long_grid_runs(self, tmp_path):
         # 24 intervals at order 2: 325 terms, where a scan of all 3^24 exponent vectors never ends
-        code, out = self._run_spec(tmp_path, {"kind": "exp", "grid": [(k + 1) / 24 for k in range(24)]}, "2")
-        assert code == 0
+        res, out = self._run_spec(tmp_path, {"kind": "exp", "grid": [(k + 1) / 24 for k in range(24)]}, "2")
+        assert res.returncode == 0
         assert [r.split(",")[0] for r in out.read_text().splitlines()[1:]] == ["2"]
 
-    def test_term_count_above_the_limit_fails(self, tmp_path, capsys):
-        code, out = self._run_spec(tmp_path, {"kind": "exp", "grid": [(k + 1) / 200 for k in range(200)]}, "2,8")
-        assert code == 1
-        err = json.loads(capsys.readouterr().err)
+    def test_term_count_above_the_limit_fails(self, tmp_path):
+        res, out = self._run_spec(tmp_path, {"kind": "exp", "grid": [(k + 1) / 200 for k in range(200)]}, "2,8")
+        assert res.returncode == 1
+        err = json.loads(res.stderr)
         assert err["error"] == "taylor.invalid" and "too many Taylor terms" in err["message"]
         assert not out.exists()
 
     def test_exact_fixtures_declare_moments_through_the_top_order(self, tmp_path, monkeypatch):
         # an order of 16 reads m13..m16 of the fixtures, as the --dt form of the study does
         monkeypatch.setenv("LEVY_CHAOS_KMAX", "16")
-        code, out = self._run_spec(tmp_path, EXP_SPEC, "16")
-        assert code == 0
+        res, out = self._run_spec(tmp_path, EXP_SPEC, "16")
+        assert res.returncode == 0
         assert out.read_text().splitlines()[1].startswith("16,2,exact,")
 
 
@@ -608,13 +603,11 @@ def test_argv_fuzz_exits_0_or_json_error_without_output(argv):
                 json.dump(data, fh)
         out = os.path.join(work, "x.out")
         argv = [files.get(tok, tok) for tok in argv] + ["--out", out]
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = cli.main(argv)
-        if code == 0:
+        res = run_cli(argv)
+        if res.returncode == 0:
             return
-        assert code == 1
-        err = json.loads(stderr.getvalue())
+        assert res.returncode == 1
+        err = json.loads(res.stderr)
         assert set(err) == {"error", "message"}
         assert not os.path.exists(out)
         assert sorted(os.listdir(work)) == ["cfg.json", "list.json", "spec.json"]

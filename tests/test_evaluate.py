@@ -416,6 +416,16 @@ class TestLevelEngineRouting:
         with pytest.raises(error):
             exact_identity_suite(count, n_max, seed=0, max_jumps=max_jumps)
 
+    def test_identity_suite_bounds_count_times_jumps_before_any_draw(self, monkeypatch):
+        def drawn(*args):
+            raise AssertionError("drawn")
+
+        monkeypatch.setattr(evaluate, "rng_for", drawn)
+        with pytest.raises(AssertionError, match="drawn"):  # a full batch at the default max_jumps passes
+            exact_identity_suite(1000, 12, seed=0)
+        with pytest.raises(PathError, match="jumps in all"):
+            exact_identity_suite(1000, 12, seed=0, max_jumps=9)
+
     def test_level_engine_has_no_order_cap(self):
         # the engine builds n levels and lists no tuples, so only the CLI bounds n
         path = make_jump_path(1, Fraction(1, 3), [(Fraction(1, 2), 1)], (Fraction(1, 5),) * 20)

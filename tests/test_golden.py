@@ -5,15 +5,9 @@ artifacts depend on numpy's samplers, so a failure shows the Python and numpy
 versions the manifest was taken with beside the running ones.
 """
 
-import importlib.util
-from pathlib import Path
-
 import pytest
+from conftest import TOOL, TOOLS
 
-TOOLS = Path(__file__).resolve().parents[1] / "tools"
-_spec = importlib.util.spec_from_file_location("golden_hashes", TOOLS / "golden_hashes.py")
-TOOL = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(TOOL)
 HEADER, *MANIFEST = (TOOLS / "golden.sha256").read_text(encoding="utf-8").splitlines()
 
 

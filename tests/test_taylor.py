@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from levychaos import cli, taylor
+from conftest import run_cli
+from levychaos import taylor
 from levychaos.chaos import expand_from_moments
 from levychaos.errors import FunctionalError, PathError
 from levychaos.evaluate import reconstruct
@@ -176,7 +177,7 @@ class TestOnePass:
         spec = tmp_path / "spec.json"
         spec.write_text('{"kind": "exp", "grid": [0.25, 0.5]}')
         argv = ["taylor", "--spec", str(spec), "--model", "gamma:a=10,b=20", "--paths", "2"]
-        assert cli.main(argv + ["--out", str(tmp_path / "t.csv")]) == 0
+        assert run_cli(argv + ["--out", str(tmp_path / "t.csv")]).returncode == 0
         assert builds == [8] * 4  # 2 paths x 2 intervals, each at the top order of 2,4,6,8
 
 

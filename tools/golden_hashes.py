@@ -7,10 +7,10 @@ After a change that alters an artifact on purpose, regenerate it with
 
 The first line records the Python and numpy versions, since grid artifacts
 depend on numpy's samplers.  Each further line is ``<sha256>  <name>``.  Each
-command runs in process through ``levychaos.cli.main``.  Its stdout and its
-``--out`` file are hashed separately; a command that fails prints
-``exit=<code>`` and the sha256 of its stderr.  Leading ``NAME=value`` words
-set environment variables for that command only, as in a shell.
+command runs in process through ``call``, the runner the CLI tests share.
+Its stdout and its ``--out`` file are hashed separately; a command that fails
+prints ``exit=<code>`` and the sha256 of its stderr.  Leading ``NAME=value``
+words set environment variables for that command only, as in a shell.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import os
 import platform
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -38,6 +39,10 @@ MODELS = {
 SPECS = {
     "SPEC": {"kind": "exp", "order": 2, "grid": [0.25, 0.5]},
     "SPEC50": {"kind": "exp", "order": 2, "grid": [i / 50 for i in range(1, 51)]},
+    "POLY": {"kind": "poly", "order": 3, "grid": [0.25, 0.5],
+             "terms": [{"exponents": [0, 0], "coeff": 2}, {"exponents": [2, 1], "coeff": 0.5},
+                       {"exponents": [0, 3], "coeff": -1.5}, {"exponents": [1, 0], "coeff": 3}]},
+    "FORWARD": {"kind": "forward", "order": 4, "grid": [0.25, 0.5], "s0": 100, "rate": 0.05, "maturity": 1.0},
 }
 # name: command; a trailing --out writes to a file that is hashed as <name>.out.
 GOLDEN = {
@@ -83,6 +88,12 @@ GOLDEN = {
     "taylor-exact-50-intervals": "taylor --spec SPEC50 --model G --orders 2 --paths 2",
     "taylor-grid-steps-over-limit": "taylor --spec SPEC --model G --paths 64 --dt 1e-5",
     "exact-verify-count-over-limit": "exact-verify --n 1 --count 1000000000",
+    "ortho-8-rational-csv": "ortho --order 8 --mode rational --format csv --model G",
+    "ortho-6-float-csv": "ortho --order 6 --format csv --model G",
+    "taylor-exact-poly": "taylor --spec POLY --model G --paths 8",
+    "taylor-exact-forward": "taylor --spec FORWARD --model G --paths 8",
+    "coeffs-4-float-out": "coeffs --n 4 --model G --out",
+    "exact-verify-jumps-over-limit": "exact-verify --n 1 --count 1000 --max-jumps 1024",
 }
 
 
@@ -93,6 +104,14 @@ def _sha(data: bytes) -> str:
 def header() -> str:
     """The manifest's first line: the versions that grid artifacts depend on."""
     return f"# python {platform.python_version()} numpy {np.__version__}"
+
+
+def call(argv: list[str], env: dict[str, str] | None = None) -> SimpleNamespace:
+    """Run ``cli.main(argv)`` in process with ``env`` added to the environment: its returncode, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, env or {}), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    return SimpleNamespace(returncode=code, stdout=out.getvalue(), stderr=err.getvalue())
 
 
 def run(name: str, work: str) -> list[str]:
@@ -107,12 +126,10 @@ def run(name: str, work: str) -> list[str]:
         env[key] = value
     if argv[-1] == "--out":
         argv.append(out_file)
-    out, err = io.StringIO(), io.StringIO()
-    with mock.patch.dict(os.environ, env), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli_main(argv)
-    if code:
-        return [f"exit={code} {_sha(err.getvalue().encode())}  {name}"]
-    lines = [f"{_sha(out.getvalue().encode())}  {name}"]
+    res = call(argv, env)
+    if res.returncode:
+        return [f"exit={res.returncode} {_sha(res.stderr.encode())}  {name}"]
+    lines = [f"{_sha(res.stdout.encode())}  {name}"]
     if argv[-1] == out_file:
         lines.append(f"{_sha(Path(out_file).read_bytes())}  {name}.out")
     return lines
