@@ -232,17 +232,26 @@ def _rendered(polys, render) -> dict:
     return {key: render(p) for key, p in distinct.items()}
 
 
-def expansion_to_json_dict(exp: Expansion) -> dict:
-    polys = _rendered(exp.terms.values(), lambda p: [scalar_to_json(c) for c in p.coeffs])
+def _poly_json(p: TimePolynomial) -> list:
+    return [scalar_to_json(c) for c in p.coeffs]
+
+
+def _expansion_json_head(exp: Expansion) -> dict:
+    """Every field of :func:`expansion_to_json_dict` before its ``"terms"`` list."""
     return {
         "order": exp.order,
         "basis": exp.basis,
         "sigma_adjusted": exp.moments.adjusted,
         "moments": [scalar_to_json(x) for x in exp.moments.m],
         "sigma2": scalar_to_json(exp.moments.sigma2),
-        "constant": [scalar_to_json(c) for c in exp.constant.coeffs],
-        "terms": [{"tuple": list(t), "poly": polys[id(p)]} for t, p in exp.terms.items()],
+        "constant": _poly_json(exp.constant),
     }
+
+
+def expansion_to_json_dict(exp: Expansion) -> dict:
+    polys = _rendered(exp.terms.values(), _poly_json)
+    terms = [{"tuple": list(t), "poly": polys[id(p)]} for t, p in exp.terms.items()]
+    return {**_expansion_json_head(exp), "terms": terms}
 
 
 def expansion_csv_rows(exp: Expansion) -> list[list[str]]:

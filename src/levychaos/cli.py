@@ -4,9 +4,12 @@ Subcommands: coeffs, expand, ortho, simulate, verify, convergence,
 exact-verify, taylor.  Each accepts --out, --config and exactly the flags
 its handler reads (``_COMMANDS``); any other flag, or an abbreviated one, is
 a usage error.  Outputs are CSV (LF line endings, '.' decimal separator,
-header row) or JSON (UTF-8, stable key order); floats use the shortest
-round-trip representation, so identical configs produce byte-identical
-artifacts.  Output files are written to a temporary sibling and atomically
+header row) or JSON (UTF-8, stable key order, the text of
+``json.dumps(indent=2)``); floats use the shortest round-trip
+representation, so identical configs produce byte-identical artifacts.  The
+term tables of coeffs and expand, thousands of tuples over a few hundred
+distinct polynomials, render each polynomial once and each entry from one
+template.  Output files are written to a temporary sibling and atomically
 renamed; error paths never leave partial files.  Errors, usage errors
 included, exit 1 with machine-readable JSON on stderr.
 
@@ -29,17 +32,17 @@ import math
 import os
 import sys
 import tempfile
-from collections import defaultdict
 from collections.abc import Iterable
 from json.encoder import encode_basestring_ascii
 
 from . import combinatorics as comb
 from .chaos import (
+    _expansion_json_head,
+    _poly_json,
     _rendered,
     coeff_tables,
     expand,
     expansion_csv_rows,
-    expansion_to_json_dict,
     jamshidian_expand,
     scalar_to_json,
 )
@@ -107,14 +110,32 @@ def _csv_text(rows: list[list[str]]) -> str:
     return buf.getvalue()
 
 
-def _json_text(obj) -> str:
+def _json_text(obj, /, **tables) -> str:
     """``json.dumps(obj, indent=2) + "\\n"``, byte for byte.
 
-    A list or dict that several parents share is rendered once per depth:
-    the ``coeffs`` and ``expand`` payloads hold one coefficient list per
-    multiset under thousands of tuples.
+    Each keyword names a term table, ``{tuple: TimePolynomial}``, that the dict
+    ``obj`` gains after its own keys as the list
+    ``[{"tuple": list(t), "poly": coefficients of p}, ...]``.  A table renders
+    each distinct polynomial once; each entry is then one fixed template.
     """
-    return _json_value(obj, 0, defaultdict(dict)) + "\n"
+    if not tables:
+        return _json_value(obj, 0) + "\n"
+    items = [_json_key(k) + ": " + _json_value(v, 1) for k, v in obj.items()]
+    items += [_json_key(k) + ": " + _term_table(terms) for k, terms in tables.items()]
+    return _json_block(items, 0, "{}") + "\n"
+
+
+# One term-table entry at depth 2: its tuple's entries and its polynomial at depth 3.
+_TERM = '{\n      "tuple": [\n        %s\n      ],\n      "poly": %s\n    }'
+# The text of each entry an index tuple may hold: an order in 1..ORDER_LIMIT.
+_DIGITS = [str(i) for i in range(comb.ORDER_LIMIT + 1)]
+
+
+def _term_table(terms: dict) -> str:
+    """The JSON list at depth 1 of the nonempty tuples and the polynomials of ``terms``."""
+    polys = _rendered(terms.values(), lambda p: _json_value(_poly_json(p), 3))
+    entries = [_TERM % (",\n        ".join([_DIGITS[i] for i in t]), polys[id(p)]) for t, p in terms.items()]
+    return _json_block(entries, 1, "[]")
 
 
 def _json_scalar(o) -> str:
@@ -140,30 +161,23 @@ def _json_scalar(o) -> str:
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
-def _json_value(o, depth: int, memo: defaultdict) -> str:
-    """JSON text of ``o`` at nesting ``depth``; ``memo[depth]`` maps id to rendered containers."""
-    if type(o) is int:  # the bulk of the payloads: tuple entries and integer coefficients
+def _json_value(o, depth: int) -> str:
+    """JSON text of ``o`` at nesting ``depth``."""
+    if type(o) is int:  # the bulk of the payloads: integer coefficients
         return int.__repr__(o)
-    if not isinstance(o, (list, tuple, dict)):
-        return _json_scalar(o)
-    rendered = memo[depth]
-    key = id(o)
-    text = rendered.get(key)
-    if text is None:
-        if not o:
-            text = "{}" if isinstance(o, dict) else "[]"
-        else:
-            child = depth + 1
-            if isinstance(o, dict):
-                items = [_json_key(k) + ": " + _json_value(v, child, memo) for k, v in o.items()]
-                ends = "{}"
-            else:
-                items = [int.__repr__(v) if type(v) is int else _json_value(v, child, memo) for v in o]
-                ends = "[]"
-            inner = "\n" + "  " * child
-            text = ends[0] + inner + ("," + inner).join(items) + inner[:-2] + ends[1]
-        rendered[key] = text
-    return text
+    if isinstance(o, dict):
+        return _json_block([_json_key(k) + ": " + _json_value(v, depth + 1) for k, v in o.items()], depth, "{}")
+    if isinstance(o, (list, tuple)):
+        return _json_block([int.__repr__(v) if type(v) is int else _json_value(v, depth + 1) for v in o], depth, "[]")
+    return _json_scalar(o)
+
+
+def _json_block(items: list[str], depth: int, ends: str) -> str:
+    """An array or object at ``depth`` from its ``items``, each already rendered at ``depth + 1``."""
+    if not items:
+        return ends
+    inner = "\n" + "  " * (depth + 1)
+    return ends[0] + inner + ("," + inner).join(items) + inner[:-2] + ends[1]
 
 
 def _json_key(k) -> str:
@@ -198,19 +212,17 @@ def _cmd_coeffs(args) -> None:
     n = args.n
     _check_order(n)
     c_list, exp = coeff_tables(n, parse_model(args.model), exact=args.mode == "rational")
-    polys = [*c_list, *exp.terms.values()]
     if args.format == "json":
-        coeffs = _rendered(polys, lambda p: [scalar_to_json(x) for x in p.coeffs])
-        payload = {
+        head = {
             "order": n,
             "mode": args.mode,
             "model": args.model,
             "sigma_adjusted": True,
-            "c": [coeffs[id(p)] for p in c_list],
-            "pi": [{"tuple": list(t), "poly": coeffs[id(p)]} for t, p in exp.terms.items()],
+            "c": [_poly_json(p) for p in c_list],
         }
-        _emit(_json_text(payload), args.out)
+        _emit(_json_text(head, pi=exp.terms), args.out)
     else:
+        polys = [*c_list, *exp.terms.values()]
         coeffs = _rendered(polys, lambda p: " ".join(str(scalar_to_json(x)) for x in p.coeffs))
         rows = [["kind", "index", "coeffs"]]
         rows += [["C", str(k), coeffs[id(p)]] for k, p in enumerate(c_list)]
@@ -231,7 +243,7 @@ def _cmd_expand(args) -> None:
     if args.format == "csv":
         _emit(_csv_text(expansion_csv_rows(exp)), args.out)
     else:
-        _emit(_json_text(expansion_to_json_dict(exp)), args.out)
+        _emit(_json_text(_expansion_json_head(exp), terms=exp.terms), args.out)
 
 
 def _cmd_ortho(args) -> None:

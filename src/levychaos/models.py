@@ -215,6 +215,8 @@ def moments(model: LevyModel, N: int, *, exact: bool = False) -> MomentVector:
         sigma2 = conv(model.sigma2)
     except OverflowError:
         raise MomentError("moment undefined: a model parameter or moment overflows a float")
+    except ZeroDivisionError:
+        raise MomentError("moment undefined: a model parameter underflows to 0.0 as a float")
     out = []
     for i, v in enumerate(vals, start=1):
         if isinstance(v, float) and not math.isfinite(v):

@@ -119,7 +119,7 @@ def _draw_increments(model: LevyModel, h: float, count: int, rng: np.random.Gene
         extra_drift = float(model.mean_rate) - float(jump_mean_rate(model.jump_part))
         if extra_drift != 0.0:
             out += extra_drift * h
-    except (OverflowError, ValueError) as exc:  # a parameter beyond float or numpy sampler range
+    except (OverflowError, ValueError, ZeroDivisionError) as exc:  # a parameter beyond float or numpy sampler range
         raise PathError(f"cannot sample the model: {exc}")
     return out
 

@@ -10,6 +10,10 @@ from hypothesis import strategies as st
 
 from conftest import run_cli, run_process
 from levychaos import cli, evaluate, paths, taylor
+from levychaos.chaos import coeff_tables, expand, expansion_to_json_dict, jamshidian_expand, scalar_to_json
+from levychaos.models import parse_model
+from levychaos.ortho import expand_h
+from levychaos.timepoly import TimePolynomial
 
 
 class TestCoeffs:
@@ -109,6 +113,10 @@ VERIFY = ["verify", "--model", GAMMA, "--n", "2"]
 TAYLOR = ["taylor", "--model", GAMMA, "--paths", "2"]
 CONVERGENCE = ["convergence", "--model", GAMMA, "--n", "2", "--t", "0.1", "--dt-list"]
 P = pytest.param
+# Exact parameters whose floats underflow: 1e-100**4 and 1e-400 are 0.0.  In
+# rational mode they stay exact: the golden entries coeffs-4-rational-underflowing-*.
+UNDERFLOW_RATE = "cpoisson:lambda=1,jump=expsign:1e-100:1/2"
+UNDERFLOW_SCALE = "gamma:a=1,b=1e-400"
 
 
 class TestErrorHygiene:
@@ -164,6 +172,12 @@ class TestErrorHygiene:
             P(["exact-verify", "--n", "2", "--count", "0"], None, "evaluate.invalid", id="exact-verify-no-fixtures"),
             P(["coeffs", "--n", "1000000", "--mode", "rational", "--model", GAMMA], None, "combinatorics.order",
               id="coeffs-order-beyond-cap"),
+            P(["coeffs", "--n", "4", "--model", UNDERFLOW_RATE], None, "models.moments",
+              id="jump-rate-power-underflows"),
+            P(["simulate", "--model", UNDERFLOW_SCALE, "--t", "1", "--dt", "0.1"], None, "paths.invalid",
+              id="sampler-scale-underflows"),
+            P(["verify", "--model", UNDERFLOW_SCALE, "--n", "2", "--t", "1", "--dt", "0.1"], None, "paths.invalid",
+              id="verify-sampler-scale-underflows"),
         ],
     )
     def test_bad_input_exits_1_with_json_no_partial_file(self, tmp_path, argv, spec, code):
@@ -369,6 +383,60 @@ class TestJsonText:
     def test_refuses_what_json_dumps_refuses(self):
         with pytest.raises(TypeError):
             cli._json_text({"x": [Fraction(1, 3)]})
+
+
+coefficients = (
+    st.integers(min_value=-10**30, max_value=10**30)
+    | st.fractions(max_denominator=10**6)
+    | st.floats()
+)
+polys = st.just(TimePolynomial.zero()) | st.lists(coefficients, max_size=6).map(TimePolynomial)
+index_tuples = st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=12).map(tuple)
+
+
+@st.composite
+def term_tables(draw):
+    """{tuple: TimePolynomial}, empty or not, where several tuples share one polynomial object."""
+    pool = draw(st.lists(polys, min_size=1, max_size=4))
+    return draw(st.dictionaries(index_tuples, st.sampled_from(pool), max_size=12))
+
+
+class TestTermTable:
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(st.text(), json_values, max_size=4), st.dictionaries(st.text(), term_tables(), max_size=2))
+    @example({"order": 2}, {"pi": {(1,): TimePolynomial.zero(), (1, 1): TimePolynomial((2, Fraction(-1, 3), -0.5))}})
+    @example({}, {"terms": {}})
+    def test_matches_json_dumps_of_the_dict_form(self, head, tables):
+        head = {k: v for k, v in head.items() if k not in tables}
+        rows = {
+            key: [{"tuple": list(t), "poly": [scalar_to_json(c) for c in p.coeffs]} for t, p in terms.items()]
+            for key, terms in tables.items()
+        }
+        assert cli._json_text(head, **tables) == json.dumps({**head, **rows}, indent=2) + "\n"
+
+    @pytest.mark.parametrize("model", ["gamma:a=10,b=20", "brownian:sigma=1/10+gamma:a=3,b=7"])
+    @pytest.mark.parametrize("mode", ["float", "rational"])
+    def test_coeffs_output_is_the_dict_form(self, model, mode):
+        res = run_cli(["coeffs", "--n", "5", "--mode", mode, "--model", model])
+        c_list, exp = coeff_tables(5, parse_model(model), exact=mode == "rational")
+        data = json.loads(res.stdout)
+        assert data["c"] == [[scalar_to_json(x) for x in p.coeffs] for p in c_list]
+        assert data["pi"] == expansion_to_json_dict(exp)["terms"]
+
+    @pytest.mark.parametrize(
+        "basis,mode,build",
+        [
+            ("y", "float", lambda m: expand(5, m)),
+            ("y", "rational", lambda m: expand(5, m, exact=True)),
+            ("h", "float", lambda m: expand_h(5, m)),
+            ("h", "rational", lambda m: expand_h(5, m, exact=True)),
+            ("jamshidian", "float", lambda m: jamshidian_expand(5)),
+        ],
+    )
+    def test_expand_output_is_the_dict_form(self, basis, mode, build):
+        model = "brownian:sigma=1/10+gamma:a=3,b=7"
+        res = run_cli(["expand", "--n", "5", "--basis", basis, "--mode", mode, "--model", model])
+        assert json.loads(res.stdout) == expansion_to_json_dict(build(parse_model(model)))
 
 
 class TestConvergence:

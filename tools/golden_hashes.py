@@ -35,6 +35,7 @@ MODELS = {
     "G": "gamma:a=10,b=20",
     "MIXED": "brownian:sigma=1/10+gamma:a=3,b=7",
     "JUMPY": "brownian:sigma=0.1+cpoisson:lambda=30,jump=expsign:5:3/5",
+    "UNDERFLOW": "cpoisson:lambda=1,jump=expsign:1e-100:1/2",  # rate**4 underflows to 0.0 as a float
 }
 SPECS = {
     "SPEC": {"kind": "exp", "order": 2, "grid": [0.25, 0.5]},
@@ -94,6 +95,11 @@ GOLDEN = {
     "taylor-exact-forward": "taylor --spec FORWARD --model G --paths 8",
     "coeffs-4-float-out": "coeffs --n 4 --model G --out",
     "exact-verify-jumps-over-limit": "exact-verify --n 1 --count 1000 --max-jumps 1024",
+    "expand-8-y-float": "expand --n 8 --model MIXED",
+    "expand-8-y-rational": "expand --n 8 --mode rational --model MIXED",
+    "coeffs-4-underflowing-rate": "coeffs --n 4 --model UNDERFLOW",
+    "coeffs-4-rational-underflowing-rate": "coeffs --n 4 --mode rational --model UNDERFLOW",
+    "coeffs-4-rational-underflowing-scale": "coeffs --n 4 --mode rational --model gamma:a=1,b=1e-400",
 }
 
 
